@@ -1,6 +1,6 @@
 //! Batch-server throughput: a 1k-instance NDJSON batch driven through
-//! `busytime_server::serve` end to end (parse → batched feature detection
-//! → worker-pool solve → streamed report lines) at 1, 4 and 8 workers.
+//! `busytime_server::serve` end to end (parse → feature detection →
+//! worker-pool solve → streamed report lines) at 1, 4 and 8 workers.
 //!
 //! The interesting read is the worker scaling: per-record solves are
 //! independent, so on a multi-core host 4 workers should clear the batch

@@ -15,8 +15,7 @@
 //! [`Executor::configure_global`] lets a CLI size it from `--workers`
 //! before first use. Constructed instances ([`Executor::new`]) carry their
 //! own threads and shut them down on drop — tests use those to pin exact
-//! budgets. The module-level [`par_map`] family forwards to the global
-//! executor and keeps the historical calling convention.
+//! budgets.
 //!
 //! Batches preserve the scoped-thread contract they replaced: work is
 //! distributed over a shared atomic cursor (balancing heavily skewed item
@@ -77,20 +76,6 @@
 //! kernels (and, through installed [`busytime_interval::parsort`] hooks,
 //! by the interval substrate below this crate).
 //!
-//! [`Executor::par_map_deadline_with`] is the deadline-enforcing variant
-//! the batch server uses: each item gets a per-item [`CancelToken`] armed
-//! when a worker picks the item up (so queue time never counts against a
-//! record's budget), and the pool stamps every completion with its elapsed
-//! time and an `over_deadline` verdict. The verdict is the pool's *own*
-//! clock comparison, independent of the item's cooperation — a solver that
-//! misses (or lacks) its cooperative check is still reported as
-//! over-deadline, so batch summaries never undercount pinned workers.
-//! [`Executor::par_map_deadline_under`] additionally parents every
-//! per-item token to a caller-owned [`CancelToken`], which is how a
-//! long-lived listener drains on shutdown: cancelling the parent poisons
-//! the tokens of queued, not-yet-picked-up items, so they cut at pickup
-//! instead of waiting out their budgets.
-//!
 //! ```
 //! use busytime_core::pool::Executor;
 //!
@@ -105,7 +90,6 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
 
 use crate::cancel::CancelToken;
 
@@ -213,9 +197,13 @@ impl Drop for ShutdownGuard {
         self.inner.available.notify_all();
         // every batch blocks its submitter until completion, so at this
         // point no batch is in flight and the queue is empty — the join is
-        // prompt
+        // prompt. A spawned job that owned the last handle drops it on its
+        // worker, which cannot join itself: it exits once the job returns
+        let me = std::thread::current().id();
         for handle in self.handles.drain(..) {
-            let _ = handle.join();
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -383,69 +371,6 @@ impl Executor {
         F: Fn(&T) -> R + Sync,
     {
         self.run_batch(width, items.len(), |i| f(&items[i]))
-    }
-
-    /// Deadline-enforcing [`Executor::par_map_with`]: `budget_of` names
-    /// each item's time budget (`None` = unbounded), a fresh
-    /// [`CancelToken`] armed with that budget is handed to `f` when a
-    /// worker picks the item up, and every completion is stamped with its
-    /// elapsed time and the pool's `over_deadline` verdict. Results are
-    /// returned in input order; the panic contract matches
-    /// [`Executor::par_map_with`].
-    pub fn par_map_deadline_with<T, R, B, F>(
-        &self,
-        width: usize,
-        items: &[T],
-        budget_of: B,
-        f: F,
-    ) -> Vec<DeadlineOutcome<R>>
-    where
-        T: Sync,
-        R: Send,
-        B: Fn(&T) -> Option<Duration> + Sync,
-        F: Fn(&T, &CancelToken) -> R + Sync,
-    {
-        self.par_map_deadline_under(width, &CancelToken::never(), items, budget_of, f)
-    }
-
-    /// [`Executor::par_map_deadline_with`] under a caller-owned `parent`
-    /// token: every per-item token is a child of `parent`, so cancelling
-    /// `parent` (a listener draining on SIGINT, a session torn down
-    /// mid-batch) cuts every in-flight solve at its next cooperative
-    /// checkpoint — and every *queued* item at pickup — while each item's
-    /// own budget still expires independently. The `over_deadline` verdict
-    /// stays a pure budget comparison — a parent cancellation does not
-    /// flag items as over their deadline.
-    pub fn par_map_deadline_under<T, R, B, F>(
-        &self,
-        width: usize,
-        parent: &CancelToken,
-        items: &[T],
-        budget_of: B,
-        f: F,
-    ) -> Vec<DeadlineOutcome<R>>
-    where
-        T: Sync,
-        R: Send,
-        B: Fn(&T) -> Option<Duration> + Sync,
-        F: Fn(&T, &CancelToken) -> R + Sync,
-    {
-        self.run_batch(width, items.len(), |i| {
-            let item = &items[i];
-            let budget = budget_of(item);
-            let token = match budget {
-                Some(b) => parent.child_after(b),
-                None => parent.child(),
-            };
-            let started = Instant::now();
-            let result = f(item, &token);
-            let elapsed = started.elapsed();
-            DeadlineOutcome {
-                result,
-                elapsed,
-                over_deadline: budget.is_some_and(|b| elapsed > b),
-            }
-        })
     }
 
     /// Fork–join over one slice: splits `items` into consecutive chunks
@@ -828,90 +753,23 @@ fn finish_task(completion: &Completion, panicked: bool) {
     }
 }
 
-/// Applies `f` to every item on the [global](Executor::global) executor;
-/// results are returned in input order. Deterministic as long as `f` is.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Executor::global().par_map(items, f)
-}
-
-/// [`par_map`] with a width cap of `workers` (`0` = the global executor's
-/// full budget); see [`Executor::par_map_with`] for the contract.
-pub fn par_map_with<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Executor::global().par_map_with(workers, items, f)
-}
-
-/// One completed item of [`Executor::par_map_deadline_with`]: the result
-/// plus the pool's own timing verdict.
-#[derive(Clone, Debug)]
-pub struct DeadlineOutcome<R> {
-    /// What `f` returned.
-    pub result: R,
-    /// Wall-clock time from worker pickup to completion.
-    pub elapsed: Duration,
-    /// True iff the item had a budget and `elapsed` exceeded it — measured
-    /// by the pool, so it holds even when the item never polled its token.
-    pub over_deadline: bool,
-}
-
-/// [`Executor::par_map_deadline_with`] on the global executor.
-pub fn par_map_deadline_with<T, R, B, F>(
-    workers: usize,
-    items: &[T],
-    budget_of: B,
-    f: F,
-) -> Vec<DeadlineOutcome<R>>
-where
-    T: Sync,
-    R: Send,
-    B: Fn(&T) -> Option<Duration> + Sync,
-    F: Fn(&T, &CancelToken) -> R + Sync,
-{
-    Executor::global().par_map_deadline_with(workers, items, budget_of, f)
-}
-
-/// [`Executor::par_map_deadline_under`] on the global executor.
-pub fn par_map_deadline_under<T, R, B, F>(
-    workers: usize,
-    parent: &CancelToken,
-    items: &[T],
-    budget_of: B,
-    f: F,
-) -> Vec<DeadlineOutcome<R>>
-where
-    T: Sync,
-    R: Send,
-    B: Fn(&T) -> Option<Duration> + Sync,
-    F: Fn(&T, &CancelToken) -> R + Sync,
-{
-    Executor::global().par_map_deadline_under(workers, parent, items, budget_of, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn preserves_order() {
         let items: Vec<u64> = (0..500).collect();
-        let out = par_map(&items, |&x| x * x);
+        let out = Executor::global().par_map(&items, |&x| x * x);
         assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_single() {
         let empty: Vec<u32> = vec![];
-        assert!(par_map(&empty, |&x| x).is_empty());
-        assert_eq!(par_map(&[7], |&x| x + 1), vec![8]);
+        assert!(Executor::global().par_map(&empty, |&x| x).is_empty());
+        assert_eq!(Executor::global().par_map(&[7], |&x| x + 1), vec![8]);
     }
 
     #[test]
@@ -919,7 +777,10 @@ mod tests {
         let items: Vec<u64> = (0..100).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x + 1).collect();
         for workers in [0, 1, 2, 4, 8, 200] {
-            assert_eq!(par_map_with(workers, &items, |&x| x + 1), expect);
+            assert_eq!(
+                Executor::global().par_map_with(workers, &items, |&x| x + 1),
+                expect
+            );
         }
     }
 
@@ -927,7 +788,7 @@ mod tests {
     fn uneven_work_is_balanced() {
         // items with wildly different costs still all complete
         let items: Vec<usize> = (0..64).collect();
-        let out = par_map_with(4, &items, |&i| {
+        let out = Executor::global().par_map_with(4, &items, |&i| {
             let mut acc = 0u64;
             for k in 0..(i * 1000) as u64 {
                 acc = acc.wrapping_add(k.wrapping_mul(2654435761));
@@ -1007,6 +868,21 @@ mod tests {
             .collect();
         got.sort_unstable();
         assert_eq!(got, vec![1, 2]);
+    }
+
+    #[test]
+    fn a_spawned_job_may_drop_the_last_handle() {
+        let executor = Executor::new(2);
+        let (go, wait) = std::sync::mpsc::channel::<()>();
+        let (send, recv) = std::sync::mpsc::channel();
+        let last = executor.clone();
+        executor.spawn(move || {
+            let _ = wait.recv();
+            let _ = send.send(catch_unwind(AssertUnwindSafe(|| drop(last))).is_ok());
+        });
+        drop(executor);
+        go.send(()).unwrap();
+        assert!(recv.recv_timeout(Duration::from_secs(5)).unwrap());
     }
 
     #[test]
@@ -1124,82 +1000,10 @@ mod tests {
     }
 
     #[test]
-    fn deadline_outcomes_keep_order_and_stamp_budgets() {
-        let items: Vec<u64> = (0..40).collect();
-        let out = par_map_deadline_with(
-            4,
-            &items,
-            |&x| (x % 2 == 0).then_some(Duration::from_secs(3600)),
-            |&x, token| {
-                assert_eq!(token.deadline().is_some(), x % 2 == 0);
-                x * 3
-            },
-        );
-        for (i, o) in out.iter().enumerate() {
-            assert_eq!(o.result, i as u64 * 3);
-            assert!(!o.over_deadline, "generous budget flagged on item {i}");
-        }
-    }
-
-    #[test]
-    fn uncooperative_item_is_still_flagged_over_deadline() {
-        // the closure ignores its token entirely and sleeps past the
-        // budget: the pool's own clock must catch it
-        let items = vec![0u32, 1];
-        let out = par_map_deadline_with(
-            2,
-            &items,
-            |&x| (x == 1).then_some(Duration::from_millis(1)),
-            |&x, _token| {
-                if x == 1 {
-                    std::thread::sleep(Duration::from_millis(15));
-                }
-                x
-            },
-        );
-        assert!(!out[0].over_deadline);
-        assert!(out[1].over_deadline);
-        assert!(out[1].elapsed >= Duration::from_millis(15));
-    }
-
-    #[test]
-    fn cancelled_parent_cuts_every_item_token() {
-        // listener shutdown drain: per-item tokens are children of the
-        // session token, so a poisoned parent is visible at pickup even
-        // when the item carries a generous (or no) budget — and the
-        // poison alone never counts as over_deadline
-        let parent = CancelToken::never();
-        parent.cancel();
-        let items = vec![0u32, 1];
-        let out = par_map_deadline_under(
-            2,
-            &parent,
-            &items,
-            |&x| (x == 1).then_some(Duration::from_secs(3600)),
-            |_, token| token.is_cancelled(),
-        );
-        assert!(out[0].result && out[1].result);
-        assert!(!out[0].over_deadline && !out[1].over_deadline);
-    }
-
-    #[test]
-    fn zero_budget_token_arrives_expired() {
-        let items = vec![()];
-        let out = par_map_deadline_with(
-            1,
-            &items,
-            |_| Some(Duration::ZERO),
-            |_, token| token.is_cancelled(),
-        );
-        assert!(out[0].result, "token must already be expired at pickup");
-        assert!(out[0].over_deadline);
-    }
-
-    #[test]
     #[should_panic(expected = "worker panicked")]
     fn propagates_panics() {
         let items = vec![1u32, 2, 3, 4];
-        let _ = par_map(&items, |&x| {
+        let _ = Executor::global().par_map(&items, |&x| {
             if x == 3 {
                 panic!("boom");
             }
@@ -1211,7 +1015,7 @@ mod tests {
     #[should_panic(expected = "worker panicked")]
     fn propagates_panics_single_width() {
         let items = vec![1u32, 2, 3];
-        let _ = par_map_with(1, &items, |&x| {
+        let _ = Executor::global().par_map_with(1, &items, |&x| {
             if x == 2 {
                 panic!("boom");
             }
@@ -1573,12 +1377,12 @@ pub mod intra {
 
 pub mod scratch {
     //! Per-thread scratch arenas: reset-not-freed buffers reused across
-    //! records by executor workers and batch sessions.
+    //! records by executor workers.
     //!
     //! The serving hot path repeats the same small allocations for every
-    //! record: a line buffer per read, an id permutation per greedy solve,
-    //! a delta vector per clique bound, a pair vector per canonical hash.
-    //! Each executor worker (and each session thread) instead holds one
+    //! record: an id permutation per greedy solve, a delta vector per
+    //! clique bound, a pair vector per canonical hash. Each executor
+    //! worker (and each session thread) instead holds one
     //! [`Arena`] in a `thread_local`, cleared between uses but never
     //! shrunk, so steady-state batch traffic runs these paths
     //! allocation-free. Sibling scratch for the interval sweeps lives in
@@ -1597,8 +1401,6 @@ pub mod scratch {
     /// record.
     #[derive(Default)]
     pub struct Arena {
-        /// Raw byte staging (line reads, serialization).
-        pub bytes: Vec<u8>,
         /// Job-id staging (scheduler orderings, permutations).
         pub ids: Vec<usize>,
         /// Coordinate staging (sorted deltas, keys).
@@ -1618,28 +1420,6 @@ pub mod scratch {
             Ok(mut arena) => f(&mut arena),
             Err(_) => f(&mut Arena::default()),
         })
-    }
-
-    /// Detaches the thread's byte buffer (cleared, capacity kept) for uses
-    /// that must own the buffer across await-like boundaries — e.g. a batch
-    /// session's line carry. Pair with [`recycle_bytes`].
-    pub fn take_bytes() -> Vec<u8> {
-        with(|arena| {
-            let mut buf = std::mem::take(&mut arena.bytes);
-            buf.clear();
-            buf
-        })
-    }
-
-    /// Returns a buffer taken by [`take_bytes`] (or any buffer worth
-    /// pooling) to the thread's arena. Keeps the larger of the two
-    /// capacities.
-    pub fn recycle_bytes(buf: Vec<u8>) {
-        with(|arena| {
-            if buf.capacity() > arena.bytes.capacity() {
-                arena.bytes = buf;
-            }
-        });
     }
 
     #[cfg(test)]
@@ -1670,17 +1450,6 @@ pub mod scratch {
                 });
                 assert_eq!(outer.keys, vec![7]);
             });
-        }
-
-        #[test]
-        fn byte_buffer_round_trips_capacity() {
-            let mut buf = take_bytes();
-            buf.extend_from_slice(&[0u8; 4096]);
-            recycle_bytes(buf);
-            let again = take_bytes();
-            assert!(again.is_empty());
-            assert!(again.capacity() >= 4096);
-            recycle_bytes(again);
         }
     }
 }

@@ -9,6 +9,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::algo::{
     BestFit, BoundedLength, CliqueScheduler, FirstFit, GuessMatch, MinMachines, NextFitArrival,
@@ -23,13 +24,18 @@ use crate::solve::{Auto, SolveOptions};
 pub type SolverFactory =
     Box<dyn Fn(&SolveOptions) -> Box<dyn Scheduler + Send + Sync> + Send + Sync>;
 
+/// A [`SolverFactory`] as an entry stores it: shared between clones.
+type SharedFactory = Arc<dyn Fn(&SolveOptions) -> Box<dyn Scheduler + Send + Sync> + Send + Sync>;
+
 /// One registered solver: key, human description, guarantee note and
-/// factory.
+/// factory. The factory is shared, so cloning an entry (or a whole
+/// registry) never rebuilds or copies a closure.
+#[derive(Clone)]
 pub struct SolverEntry {
     key: String,
     summary: &'static str,
     guarantee: Option<&'static str>,
-    factory: SolverFactory,
+    factory: SharedFactory,
 }
 
 impl SolverEntry {
@@ -65,7 +71,7 @@ impl std::fmt::Debug for SolverEntry {
 }
 
 /// A name-indexed collection of solver factories.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct SolverRegistry {
     entries: BTreeMap<String, SolverEntry>,
     aliases: BTreeMap<String, String>,
@@ -176,7 +182,7 @@ impl SolverRegistry {
                 key,
                 summary,
                 guarantee,
-                factory,
+                factory: Arc::from(factory),
             },
         );
     }

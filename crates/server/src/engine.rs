@@ -1,67 +1,51 @@
 //! The batch solve engine: NDJSON in, NDJSON out, a worker pool in the
 //! middle.
 //!
-//! [`BatchSession`] is the reusable core any `BufRead`/`Write` pair can
-//! drive — stdin/stdout ([`serve`] is the thin wrapper), a file, or one
-//! socket connection of the [`crate::listener`]. A session reads request
-//! lines in chunks, runs batched feature detection (each distinct instance
-//! is detected once — repeated identical instances hit the hash-keyed
-//! [`SharedFeatureCache`], which long-lived listeners share *across*
-//! connections), fans the solves of a chunk out over the process-wide
-//! [`busytime_core::pool::Executor`] (every session submits to the same
-//! persistent worker pool, so concurrent sessions share one worker budget
-//! instead of multiplying it), and streams exactly one response line per
-//! request line, in input order. Order is guaranteed by construction: the
-//! pool writes results into input-order slots and the writer drains chunks
-//! sequentially.
+//! This module holds the engine's public face — [`ServeConfig`],
+//! [`BatchSummary`], [`ServeError`], the cross-session
+//! [`SharedFeatureCache`] — and [`BatchSession`], the blocking loop over
+//! any `BufRead`/`Write` pair ([`serve`] wraps stdin-shaped streams). The
+//! record pipeline itself is the resumable `machine` session that the
+//! [`crate::listener`] also runs per connection: it reads request lines
+//! in waves of at most the chunk size and streams exactly one response
+//! line per request line, in input order, solving on the process-wide
+//! [`busytime_core::pool::Executor`] shared by every session.
 //!
-//! Above the feature cache sits the *solution* cache
-//! ([`busytime_core::SolutionCache`]): before a record is dispatched to the
-//! executor at all, the session looks its canonical instance + solve
-//! fingerprint up and, on a hit, streams the cached validated report
-//! (assignment remapped to the record's own job order, `cached: true`)
-//! without occupying a worker. Misses are solved as usual and written back;
-//! exact solves additionally ask the cache for a near-match warm start
-//! ([`busytime_core::solve::WARM_EDIT_BUDGET`]). Per-record `cache` policies
-//! (`off`/`read`/`write`/`readwrite`) gate both directions, and the
-//! [`crate::listener`] shares one cache handle across connections the same
-//! way it shares the feature cache.
+//! Before a record is dispatched, the session looks its canonical
+//! instance + solve fingerprint up in the *solution* cache
+//! ([`busytime_core::SolutionCache`]) and, on a hit, streams the cached
+//! validated report (assignment remapped to the record's own job order,
+//! `cached: true`) without occupying a worker. Misses are solved and
+//! written back; exact solves may warm-start from a cached near match
+//! ([`busytime_core::solve::WARM_EDIT_BUDGET`]). Per-record `cache`
+//! policies (`off`/`read`/`write`/`readwrite`) gate both directions.
 //!
-//! Deadlines are enforced at the pool layer: each record's budget (its
-//! `deadline_ms`, else the batch default) arms a
-//! [`busytime_core::CancelToken`] when a worker picks the record up, the
-//! token rides through the solve pipeline into every solver loop, and the
-//! pool independently stamps each completion `over_deadline` when its own
-//! clock says the budget was blown — so even a solver that misses its
-//! cooperative check is counted in [`BatchSummary::deadline_hits`], and one
-//! pathological record can no longer pin a worker for seconds.
-//!
-//! Sessions are also *interruptible*: [`BatchSession::cancel`] installs a
-//! session token that (a) parents every record's deadline token, cutting
-//! in-flight solves at their next cooperative checkpoint, and (b) stops the
-//! read loop at the next line boundary, so a listener draining on SIGINT
-//! finishes the records it already parsed and then summarizes. Transports
-//! with a read timeout (sockets) surface `WouldBlock`/`TimedOut` from their
-//! reads; the session treats those as polling points — it re-checks the
-//! session token and, when records are already pending, dispatches the
-//! partial chunk instead of waiting for a full one, which is what keeps
-//! interactive socket clients from stalling behind the chunk size.
+//! Deadlines: each record's budget (its `deadline_ms`, else the batch
+//! default) arms a [`busytime_core::CancelToken`] when a worker picks the
+//! record up, and the dispatching clock independently stamps the
+//! completion `over_deadline` when the budget was blown — so even a
+//! solver that misses its cooperative check is counted in
+//! [`BatchSummary::deadline_hits`]. [`BatchSession::cancel`] installs a
+//! session token that parents every record token and stops reading, so a
+//! drain answers the records already parsed and then summarizes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, Write};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use busytime_core::algo::SchedulerError;
 use busytime_core::cancel::CancelToken;
 use busytime_core::memo::{CachePolicy, CanonicalInstance, SolutionCache, SolveFingerprint};
-use busytime_core::pool::{self, Executor};
+use busytime_core::pool::Executor;
 use busytime_core::solve::{
     SolveError, SolveOptions, SolverRegistry, REPORT_SCHEMA_VERSION, WARM_EDIT_BUDGET,
 };
 use busytime_core::{Instance, InstanceFeatures, SolveRequest};
 use busytime_instances::json::{self, JsonError, Value};
 
+use crate::machine::{is_blank_line, SessionContext, SessionMachine};
 use crate::protocol::{error_line, report_line, BatchRecord};
 
 /// What the engine does when a line fails to parse or solve.
@@ -206,7 +190,7 @@ pub struct BatchSummary {
     pub workers: usize,
     /// Records whose *deadline budget* actually cut the solve: the
     /// record's deadline chain had expired when a flagged report (or an
-    /// `Infeasible` refusal) came back, or the pool's own clock caught the
+    /// `Infeasible` refusal) came back, or the dispatching clock caught the
     /// worker over its budget (the enforcement of last resort for
     /// uncooperative solves). A record cut by a session *shutdown drain*
     /// still answers `deadline_hit: true` on its response line (the solve
@@ -580,20 +564,10 @@ impl SharedFeatureCache {
     }
 }
 
-/// One record of a chunk, in input order.
-enum Entry {
-    /// The line failed to parse; answer with an error line.
-    Bad { line: usize, message: String },
-    /// The line parsed; `item` indexes the chunk's solve items.
-    Solve { item: usize },
-}
-
-/// One prepared (parsed and cache-consulted) record, ready to dispatch.
-/// Shared between the blocking [`BatchSession`] and the listener's
-/// event-driven session machine ([`crate::machine`]) — both build items
-/// with [`prepare_record`] and solve them with [`solve_prepared`].
+/// One prepared (parsed and cache-consulted) record, ready to dispatch:
+/// built by [`prepare_record`] at parse time, solved by
+/// [`solve_prepared`] on a worker.
 pub(crate) struct SolveItem {
-    pub(crate) line: usize,
     pub(crate) record: BatchRecord,
     pub(crate) inst: Instance,
     /// Canonical (order-invariant) form of `inst`, computed once at parse
@@ -612,7 +586,9 @@ pub(crate) struct SolveItem {
     /// `cached: true`). Hit records skip feature detection and never reach
     /// the executor.
     pub(crate) hit: Option<busytime_core::SolveReport>,
-    /// Filled by the chunk's batched detection pass before solving.
+    /// The instance's features when the feature cache already held them
+    /// at parse time; otherwise [`solve_prepared`] looks them up or
+    /// detects them.
     pub(crate) features: Option<InstanceFeatures>,
     /// Effective solve budget: the record's `deadline_ms`, else the
     /// batch-level default. Armed onto the record's token when a worker
@@ -629,18 +605,23 @@ fn percentile(sorted: &[Duration], pct: f64) -> Duration {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// What one solve worker hands back: the pipeline result plus whether the
-/// record's *own deadline chain* had expired by the time the solver
-/// returned — the signal that separates "`Infeasible` because the budget
-/// ran out" from "genuinely infeasible, refused instantly".
+/// What one solve hands back: the pipeline result, its timing and the
+/// two deadline signals [`settle_outcome`] classifies.
 pub(crate) struct RecordResult {
     pub(crate) result: Result<busytime_core::SolveReport, SolveError>,
+    /// Wall time from worker pickup (budget armed) to completion.
+    pub(crate) elapsed: Duration,
+    /// The record had a budget and `elapsed` exceeded it — the
+    /// dispatching clock's verdict, which holds even when the solver never
+    /// polled its token (the enforcement of last resort).
+    pub(crate) over_deadline: bool,
+    /// The record's *own deadline chain* had expired by the time the
+    /// solver returned — the signal that separates "`Infeasible` because
+    /// the budget ran out" from "genuinely infeasible, refused instantly".
     pub(crate) deadline_expired: bool,
 }
 
-/// Running per-record statistics, shared by the blocking [`BatchSession`]
-/// and the listener's event-driven session machine so both serving paths
-/// count records, caches, deadlines and latencies identically.
+/// Running per-record statistics of one session.
 #[derive(Default)]
 pub(crate) struct SessionStats {
     pub(crate) records: usize,
@@ -714,10 +695,9 @@ pub(crate) fn effective_chunk_size(config: &ServeConfig, width: usize) -> usize 
 /// Builds the [`SolveItem`] for one parsed record: canonical instance,
 /// cache policy, solve fingerprint, deadline budget, and the pre-dispatch
 /// solution-cache consultation. Lookup accounting happens here, at parse
-/// time, so both serving paths agree on when a lookup was made.
+/// time.
 pub(crate) fn prepare_record(
     record: BatchRecord,
-    line: usize,
     registry: &SolverRegistry,
     config: &ServeConfig,
     solutions: &SolutionCache,
@@ -766,7 +746,6 @@ pub(crate) fn prepare_record(
         }
     }
     SolveItem {
-        line,
         record,
         inst,
         canon,
@@ -778,22 +757,33 @@ pub(crate) fn prepare_record(
     }
 }
 
-/// The worker-side solve of one prepared item, under `token` (already
-/// armed with the record's budget, a child of the session token). The
-/// item's `features` must be filled by a detection pass first.
-pub(crate) fn solve_prepared(
-    item: &SolveItem,
-    registry: &SolverRegistry,
-    config: &ServeConfig,
-    solutions: &SolutionCache,
-    token: &CancelToken,
-) -> RecordResult {
+/// The worker-side solve of one prepared item: features, then the solve
+/// under a record token armed at pickup, timed by the dispatching clock.
+pub(crate) fn solve_prepared(item: &SolveItem, ctx: &SessionContext) -> RecordResult {
+    let (config, cache, solutions) = (&ctx.config, &ctx.cache, &ctx.solutions);
+    // feature detection runs before the record's budget is armed:
+    // detection time is charged to the batch, never to the record. The
+    // shared cache deduplicates across records and connections.
+    let features = match &item.features {
+        Some(features) => features.clone(),
+        None => cache.lookup(&item.canon).unwrap_or_else(|| {
+            let features = InstanceFeatures::detect(&item.inst);
+            cache.insert(item.canon.clone(), features.clone());
+            features
+        }),
+    };
+    // the record's budget is armed at pickup, as a child of the session
+    // token so a shutdown drain cuts it too
+    let token = match item.budget {
+        Some(budget) => ctx.cancel.child_after(budget),
+        None => ctx.cancel.child(),
+    };
+    let started = Instant::now();
     let solver = item
         .record
         .solver
         .as_deref()
         .unwrap_or(&config.default_solver);
-    let features = item.features.clone().expect("filled by detection pass");
     // the record token is the single deadline authority here: clear the
     // option so the pipeline does not re-arm a second (later) deadline on
     // top of it
@@ -812,7 +802,8 @@ pub(crate) fn solve_prepared(
         .solver(solver)
         .features(features)
         .cancel(token.clone())
-        .solve_with(registry);
+        .solve_with(&ctx.registry);
+    let elapsed = started.elapsed();
     // write-back happens worker-side, off the streaming path; the cache
     // itself refuses cut or truncated reports and re-validates before
     // storing
@@ -827,6 +818,8 @@ pub(crate) fn solve_prepared(
     let deadline_expired = token.remaining().is_some_and(|r| r.is_zero());
     RecordResult {
         result,
+        elapsed,
+        over_deadline: item.budget.is_some_and(|b| elapsed > b),
         deadline_expired,
     }
 }
@@ -878,13 +871,13 @@ pub(crate) fn settle_hit(
 pub(crate) fn settle_outcome(
     line: usize,
     id: Option<&str>,
-    outcome: &pool::DeadlineOutcome<RecordResult>,
+    outcome: &RecordResult,
     policy: ErrorPolicy,
     stats: &mut SessionStats,
 ) -> Result<String, ServeError> {
     let hit = outcome.over_deadline
-        || (outcome.result.deadline_expired
-            && match &outcome.result.result {
+        || (outcome.deadline_expired
+            && match &outcome.result {
                 Ok(report) => report.deadline_hit,
                 Err(SolveError::Scheduler(SchedulerError::Infeasible { .. })) => true,
                 Err(_) => false,
@@ -892,7 +885,7 @@ pub(crate) fn settle_outcome(
     if hit {
         stats.deadline_hits += 1;
     }
-    match &outcome.result.result {
+    match &outcome.result {
         Ok(report) => {
             stats.solved += 1;
             stats.total_cost += report.cost;
@@ -919,28 +912,12 @@ pub(crate) fn settle_outcome(
     }
 }
 
-/// What [`BatchSession::run`] got out of one attempt to read a line.
-enum ReadOutcome {
-    /// A complete, newline-terminated line.
-    Line(Vec<u8>),
-    /// The stream's final, unterminated line — process it, then stop.
-    FinalLine(Vec<u8>),
-    /// A read timeout with records already pending: dispatch the partial
-    /// chunk now instead of waiting for more input.
-    Flush,
-    /// The stream is done (EOF, or the session token asked for a drain).
-    Eof,
-}
-
-/// One batch session: the chunked parse → batched feature-detect →
-/// deadline-pool solve → in-order stream core, reusable over any
-/// `BufRead`/`Write` pair.
+/// One batch session over a `BufRead`/`Write` pair: a blocking loop
+/// around the `machine` pipeline, the one the [`crate::listener`] runs.
 ///
-/// [`serve`] wraps one session around stdin-style streams with a private
-/// cache; the [`crate::listener`] builds one session per connection,
-/// shares a [`SharedFeatureCache`] across all of them, and installs its
-/// shutdown token via [`BatchSession::cancel`] so SIGINT drains in-flight
-/// chunks instead of severing them.
+/// [`serve`] runs one session with private caches; embedders hand in
+/// shared caches, a pinned executor or a cancellation token through the
+/// chained setters.
 pub struct BatchSession<'a> {
     registry: &'a SolverRegistry,
     config: &'a ServeConfig,
@@ -997,66 +974,11 @@ impl<'a> BatchSession<'a> {
     /// drains: in-flight solves are cut at their next cooperative
     /// checkpoint (the token parents every record's deadline token), the
     /// records already parsed are answered, and `run` returns its summary
-    /// without reading further input. Reads only notice mid-line
-    /// cancellation when the transport has a read timeout (sockets); plain
-    /// pipes notice at the next chunk boundary.
+    /// without reading further input. A read blocked inside the input
+    /// notices only once it returns a line.
     pub fn cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
-    }
-
-    /// Reads the next line into/out of `carry`, which persists across
-    /// calls: a timed-out read can leave a partial line in it (the bytes
-    /// stay put for the next call), so pending records can flush while a
-    /// half-received line is still in flight.
-    fn next_line<R: BufRead>(
-        &self,
-        input: &mut R,
-        carry: &mut Vec<u8>,
-        have_pending: bool,
-    ) -> Result<ReadOutcome, ServeError> {
-        loop {
-            match input.read_until(b'\n', carry) {
-                // EOF; an earlier timed-out attempt may have left a partial
-                // line in `carry`, which is then the stream's final line
-                Ok(0) => {
-                    return Ok(if carry.is_empty() {
-                        ReadOutcome::Eof
-                    } else {
-                        ReadOutcome::FinalLine(std::mem::take(carry))
-                    });
-                }
-                Ok(_) => {
-                    return Ok(if carry.ends_with(b"\n") {
-                        ReadOutcome::Line(std::mem::take(carry))
-                    } else {
-                        // read_until only stops short of its delimiter at
-                        // EOF: an unterminated final line
-                        ReadOutcome::FinalLine(std::mem::take(carry))
-                    });
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    // a transport read timeout is a polling point, not an
-                    // error: check for shutdown, flush pending records
-                    // (the partial line stays in `carry`), else keep
-                    // accumulating
-                    if self.cancel.is_cancelled() {
-                        return Ok(ReadOutcome::Eof);
-                    }
-                    if have_pending {
-                        return Ok(ReadOutcome::Flush);
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
     }
 
     /// Streams one response line per request line from `input` to `out`,
@@ -1069,185 +991,83 @@ impl<'a> BatchSession<'a> {
         mut input: R,
         mut out: W,
     ) -> Result<BatchSummary, ServeError> {
-        let config = self.config;
-        let started = Instant::now();
-        let executor = self.executor.clone().unwrap_or_else(Executor::global);
-        let workers = effective_width(config, &executor);
-        let chunk_size = effective_chunk_size(config, workers);
-
-        let mut stats = SessionStats::default();
-        let mut line_no = 0usize;
-        let mut eof = false;
-        // a partially-received line survives chunk dispatches here; the
-        // buffer starts from per-thread scratch and is recycled line to
-        // line below, so a steady-state session reads without allocating
-        let mut carry: Vec<u8> = pool::scratch::take_bytes();
-        while !eof && !self.cancel.is_cancelled() {
-            // read one chunk of request lines (raw bytes: a line that is
-            // not valid UTF-8 is a bad record, not a fatal stream error)
-            let mut entries: Vec<Entry> = Vec::new();
-            let mut items: Vec<SolveItem> = Vec::new();
-            'chunk: while entries.len() < chunk_size {
-                let buf = match self.next_line(&mut input, &mut carry, !entries.is_empty())? {
-                    ReadOutcome::Eof => {
-                        eof = true;
-                        break 'chunk;
-                    }
-                    ReadOutcome::Flush => break 'chunk,
-                    ReadOutcome::Line(buf) => buf,
-                    ReadOutcome::FinalLine(buf) => {
-                        eof = true;
-                        buf
-                    }
-                };
-                line_no += 1;
-                let parsed = std::str::from_utf8(&buf)
-                    .map_err(|e| format!("line is not valid UTF-8: {e}"))
-                    .and_then(|line| {
-                        let trimmed = line.trim();
-                        if trimmed.is_empty() {
-                            return Ok(None); // blank lines are not records
-                        }
-                        BatchRecord::parse(trimmed)
-                            .map(Some)
-                            .map_err(|e| e.to_string())
-                    });
-                // `parsed` owns everything it needs: hand the line buffer
-                // back to `carry` so the next read reuses its capacity
-                if carry.capacity() < buf.capacity() {
-                    let mut buf = buf;
-                    buf.clear();
-                    carry = buf;
+        let ctx = Arc::new(SessionContext {
+            registry: Arc::new(self.registry.clone()),
+            config: self.config.clone(),
+            cache: self.cache.clone(),
+            solutions: self.solutions.clone(),
+            executor: self.executor.clone().unwrap_or_else(Executor::global),
+            cancel: self.cancel.clone(),
+        });
+        // one wake per wave: answers are settled and written together
+        // rather than on a thread that competes with the solving workers
+        let (woken, wake) = channel();
+        let mut machine = SessionMachine::new(
+            ctx,
+            Arc::new(move |wave_done| {
+                if wave_done {
+                    let _ = woken.send(());
                 }
-                match parsed {
-                    Ok(None) => {
-                        if eof {
-                            break 'chunk;
-                        }
-                    }
-                    Ok(Some(record)) => {
-                        stats.records += 1;
-                        entries.push(Entry::Solve { item: items.len() });
-                        items.push(prepare_record(
-                            record,
-                            line_no,
-                            self.registry,
-                            config,
-                            &self.solutions,
-                            &mut stats,
-                        ));
-                        if eof {
-                            break 'chunk;
-                        }
-                    }
-                    Err(message) => {
-                        stats.records += 1;
-                        entries.push(Entry::Bad {
-                            line: line_no,
-                            message,
-                        });
-                        if eof || config.error_policy == ErrorPolicy::FailFast {
-                            // no point reading (or solving) past the abort
-                            // point; records before it still stream below
-                            break 'chunk;
-                        }
-                    }
-                }
-            }
-
-            // batched feature detection: detect each distinct instance
-            // once, consulting (and feeding) the shared cross-session
-            // cache; solution-cache hits are already answered and need no
-            // features at all
-            let mut fresh: Vec<(CanonicalInstance, Instance)> = Vec::new();
-            for item in &mut items {
-                if item.hit.is_some() {
-                    continue;
-                }
-                if let Some(features) = self.cache.lookup(&item.canon) {
-                    stats.cache_hits += 1;
-                    item.features = Some(features);
-                } else if fresh.iter().any(|(canon, _)| *canon == item.canon) {
-                    stats.cache_hits += 1; // repeated within this chunk
-                } else {
-                    fresh.push((item.canon.clone(), item.inst.clone()));
-                }
-            }
-            let detected =
-                executor.par_map_with(workers, &fresh, |(_, inst)| InstanceFeatures::detect(inst));
-            stats.cache_misses += fresh.len();
-            for ((canon, _), features) in fresh.into_iter().zip(detected) {
-                self.cache.insert(canon, features);
-            }
-            for item in &mut items {
-                if item.hit.is_some() || item.features.is_some() {
-                    continue;
-                }
-                // filled from the cache the fresh detections just fed; LRU
-                // eviction (or another session's churn) can drop entries in
-                // between, so re-detect inline in that rare case
-                item.features = Some(match self.cache.lookup(&item.canon) {
-                    Some(features) => features,
-                    None => InstanceFeatures::detect(&item.inst),
-                });
-            }
-
-            // fan the solves out under pool-enforced deadlines, every
-            // record token a child of the session token; solution-cache
-            // hits are already answered and stay off the pool entirely.
-            // Results land in dispatch order; `result_of` maps item index →
-            // result index for the in-order writer below.
-            let dispatch_ids: Vec<usize> = (0..items.len())
-                .filter(|&i| items[i].hit.is_none())
-                .collect();
-            let dispatch: Vec<&SolveItem> = dispatch_ids.iter().map(|&i| &items[i]).collect();
-            let mut result_of = vec![usize::MAX; items.len()];
-            for (ri, &ii) in dispatch_ids.iter().enumerate() {
-                result_of[ii] = ri;
-            }
-            let results = executor.par_map_deadline_under(
-                workers,
-                &self.cancel,
-                &dispatch,
-                |item| item.budget,
-                |item, token| solve_prepared(item, self.registry, config, &self.solutions, token),
-            );
-
-            // stream response lines in input order; the settle helpers do
-            // the shared accounting (counts, deadline classification,
-            // latency exclusions) for both serving paths
-            for entry in &entries {
-                match entry {
-                    Entry::Bad { line, message } => {
-                        let answer = settle_bad(*line, message, config.error_policy, &mut stats)?;
-                        writeln!(out, "{answer}")?;
-                    }
-                    Entry::Solve { item } => {
-                        let SolveItem {
-                            line, record, hit, ..
-                        } = &items[*item];
-                        let answer = match hit {
-                            Some(report) => {
-                                settle_hit(*line, record.id.as_deref(), report, &mut stats)
-                            }
-                            None => settle_outcome(
-                                *line,
-                                record.id.as_deref(),
-                                &results[result_of[*item]],
-                                config.error_policy,
-                                &mut stats,
-                            )?,
-                        };
-                        writeln!(out, "{answer}")?;
-                    }
-                }
-            }
-            out.flush()?;
+            }),
+        );
+        let driven = self.drive(&mut machine, &wake, &mut input, &mut out);
+        // however the batch ended, none of its solves outlives `run`; a
+        // halt that retires the wave sends no wake, so drain first
+        machine.halt();
+        machine.pump(&mut Vec::new(), false);
+        while machine.has_inflight() {
+            let _ = wake.recv();
+            machine.pump(&mut Vec::new(), false);
         }
+        driven?;
+        machine.into_outcome()
+    }
 
-        pool::scratch::recycle_bytes(carry);
-
-        Ok(stats.summarize(started.elapsed(), workers))
+    /// The read → pump → write loop: reads a wave of lines (up to the
+    /// chunk size of non-blank lines, EOF, or the session token) whenever
+    /// the machine takes input, writes whatever answers are ready, and
+    /// sleeps until a runner posts the wave's last completion.
+    fn drive<R: BufRead, W: Write>(
+        &self,
+        machine: &mut SessionMachine,
+        wake: &Receiver<()>,
+        input: &mut R,
+        out: &mut W,
+    ) -> Result<(), ServeError> {
+        let mut line = Vec::new();
+        let mut answers = Vec::new();
+        loop {
+            if machine.wants_input() {
+                // the previous wave is fully written: flush it before a
+                // read that may block
+                out.flush()?;
+                let mut records = 0;
+                while records < machine.chunk_size() && !self.cancel.is_cancelled() {
+                    line.clear();
+                    input.read_until(b'\n', &mut line)?;
+                    machine.feed(&line);
+                    // `read_until` stops short of its delimiter only at
+                    // EOF: this was the final (maybe empty) line
+                    if !line.ends_with(b"\n") {
+                        machine.finish_input();
+                        break;
+                    }
+                    if !is_blank_line(&line) {
+                        records += 1;
+                    }
+                }
+            }
+            machine.pump(&mut answers, true);
+            out.write_all(&answers)?;
+            answers.clear();
+            if machine.is_done() {
+                out.flush()?;
+                return Ok(());
+            }
+            if machine.has_inflight() {
+                let _ = wake.recv();
+            }
+        }
     }
 }
 
@@ -1621,6 +1441,111 @@ mod tests {
         assert_eq!(
             summary.deadline_hits, 0,
             "a shutdown drain is not a deadline hit"
+        );
+    }
+
+    /// A solver that holds its worker for `hold` without polling its
+    /// token, counting itself live, then answers with FirstFit (or
+    /// refuses with `Infeasible`).
+    struct Holder {
+        live: Arc<std::sync::atomic::AtomicUsize>,
+        hold: Duration,
+        refuse: bool,
+    }
+
+    impl Scheduler for Holder {
+        fn name(&self) -> Cow<'static, str> {
+            Cow::Borrowed("Holder")
+        }
+        fn schedule_with(
+            &self,
+            inst: &Instance,
+            _cancel: &CancelToken,
+        ) -> Result<Schedule, SchedulerError> {
+            use std::sync::atomic::Ordering;
+            self.live.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(self.hold);
+            self.live.fetch_sub(1, Ordering::SeqCst);
+            if self.refuse {
+                return Err(SchedulerError::Infeasible {
+                    scheduler: "Holder".into(),
+                    budget: "refuses after holding (test stub)".into(),
+                });
+            }
+            busytime_core::algo::FirstFit::paper().schedule_with(inst, &CancelToken::never())
+        }
+    }
+
+    /// The default registry plus `hold-30ms`, `hold-150ms` and
+    /// `refuse-20ms` [`Holder`]s, all counting into `live`.
+    fn registry_with_holders(live: &Arc<std::sync::atomic::AtomicUsize>) -> SolverRegistry {
+        let mut registry = SolverRegistry::with_defaults();
+        for (key, hold, refuse) in [
+            ("hold-30ms", 30, false),
+            ("hold-150ms", 150, false),
+            ("refuse-20ms", 20, true),
+        ] {
+            let live = Arc::clone(live);
+            registry.register(
+                key,
+                "holds a worker, ignoring its token (test stub)",
+                None,
+                Box::new(move |_| {
+                    Box::new(Holder {
+                        live: Arc::clone(&live),
+                        hold: Duration::from_millis(hold),
+                        refuse,
+                    })
+                }),
+            );
+        }
+        registry
+    }
+
+    #[test]
+    fn uncooperative_solver_over_its_budget_is_a_deadline_hit() {
+        // the dispatching clock is the enforcer of last resort: a solver
+        // that ignores its token still comes back flagged and counted
+        let registry = registry_with_holders(&Arc::default());
+        let input = concat!(
+            r#"{"id": "slow", "instance": {"g": 2, "jobs": [[0, 4], [1, 5]]}, "solver": "hold-30ms", "deadline_ms": 1}"#,
+            "\n",
+            r#"{"id": "free", "instance": {"g": 2, "jobs": [[0, 4], [6, 9]]}}"#,
+            "\n",
+        );
+        let (lines, summary) = run_with(&registry, input, &ServeConfig::default());
+        assert_eq!(summary.solved, 2);
+        assert_eq!(summary.deadline_hits, 1);
+        assert!(lines[0].contains("\"deadline_hit\": true"), "{}", lines[0]);
+        assert!(lines[1].contains("\"deadline_hit\": false"), "{}", lines[1]);
+    }
+
+    #[test]
+    fn fail_fast_returns_only_once_no_solve_is_running() {
+        // the first record's refusal aborts the batch while its wave
+        // sibling holds the other worker for longer: `run` must not
+        // return before that solve ends
+        let live = Arc::default();
+        let registry = registry_with_holders(&live);
+        let input = concat!(
+            r#"{"id": "no", "instance": {"g": 2, "jobs": [[0, 4]]}, "solver": "refuse-20ms"}"#,
+            "\n",
+            r#"{"id": "held", "instance": {"g": 2, "jobs": [[0, 4]]}, "solver": "hold-150ms"}"#,
+            "\n",
+        );
+        let config = ServeConfig {
+            error_policy: ErrorPolicy::FailFast,
+            ..ServeConfig::default()
+        };
+        let err = BatchSession::new(&registry, &config)
+            .executor(Executor::new(2))
+            .run(input.as_bytes(), std::io::sink())
+            .unwrap_err();
+        assert!(matches!(err, ServeError::FailFast { line: 1, .. }), "{err}");
+        assert_eq!(
+            live.load(std::sync::atomic::Ordering::SeqCst),
+            0,
+            "a solve of the aborted batch outlived `run`"
         );
     }
 

@@ -13,19 +13,21 @@
 //!   record per input line (instance inline or by
 //!   [`busytime_instances::GeneratorSpec`]), one response line per record,
 //!   in input order, every line stamped with the stable `schema_version`.
-//! * [`engine`] — [`engine::BatchSession`], the chunked parse → batched
-//!   feature-detect → deadline-pool solve → in-order stream core over any
-//!   `BufRead`/`Write` pair ([`engine::serve`] is the stdin-shaped
-//!   wrapper): batched feature detection with a hash-keyed
+//! * [`engine`] — the engine's configuration, errors and
+//!   [`engine::BatchSummary`] (throughput + solved/s, p50/p99 solve
+//!   latency, aggregate gap, cache hits, deadline hits), the hash-keyed
 //!   [`engine::SharedFeatureCache`] (shareable across sessions, with true
-//!   LRU eviction), solve fan-out over the persistent process-wide
-//!   [`busytime_core::pool::Executor`], and a [`engine::BatchSummary`]
-//!   (throughput + solved/s, p50/p99 solve latency, aggregate gap, cache
-//!   hits, deadline hits) once the batch drains.
+//!   LRU eviction), and [`engine::BatchSession`], the blocking loop over
+//!   any `BufRead`/`Write` pair ([`engine::serve`] is the stdin-shaped
+//!   wrapper). Every session — stdin or socket — runs the same resumable
+//!   record pipeline: parse in waves, answer solution-cache hits at once,
+//!   solve the rest on the persistent process-wide
+//!   [`busytime_core::pool::Executor`], stream answers in input order.
 //! * [`listener`] — the long-lived socket front-end: NDJSON over TCP or
 //!   Unix-domain sockets plus a minimal HTTP/1.1 `POST /solve` +
-//!   `GET /healthz` mode, one [`engine::BatchSession`] per connection, all
-//!   of them multiplexed onto the *one* process-wide executor (so
+//!   `GET /healthz` mode, served by epoll reactor threads that drive one
+//!   pipeline session per connection, all of them multiplexed onto the
+//!   *one* process-wide executor (so
 //!   `--workers` bounds total solver parallelism no matter how many
 //!   connections are live), the feature cache shared across connections,
 //!   per-connection summary trailer lines, and graceful drain on

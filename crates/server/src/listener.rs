@@ -91,7 +91,7 @@ use crate::engine::{
 use crate::http::{
     parse_http_head, write_http_response, HttpError, HttpRequest, MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
-use crate::machine::{SessionContext, SessionMachine};
+use crate::machine::{Notify, SessionContext, SessionMachine};
 use crate::protocol::error_line;
 
 /// Which endpoint (and wire protocol) the listener serves.
@@ -820,8 +820,7 @@ struct ConnState {
     /// same: a polite end-of-batch).
     peer_eof: bool,
     /// The session's summary, recorded into the report once the outbox
-    /// flush completes — mirroring the blocking front-end, which counted
-    /// a summary only after a successful flush.
+    /// flush completes.
     summary: Option<BatchSummary>,
     /// When the client last sent a byte (the conn-idle clock; refreshed
     /// while the server owes the connection work, so a slow solve is
@@ -1243,7 +1242,6 @@ impl Reactor {
             return;
         };
         // best-effort: an aborting batch may still hold answered lines
-        // (the blocking front-end's dropped BufWriter flushed the same way)
         if !state.half_closed {
             let _ = flush_outbox(&mut state);
         }
@@ -1448,7 +1446,12 @@ fn step_conn(
                     if let Some(failure) = machine.failure() {
                         return Step::Close(Some(failure.to_string()));
                     }
-                    state.summary = machine.summary().cloned();
+                    let summary = machine
+                        .summary()
+                        .cloned()
+                        .expect("a machine done without failure has a summary");
+                    writeln!(state.outbox, "{}", summary.to_json_line()).expect(VEC_WRITE);
+                    state.summary = Some(summary);
                     // kind stays Flush
                 }
                 Kind::Http(mut http) => {
@@ -1510,8 +1513,7 @@ fn step_conn(
             state.half_closed = true;
             state.linger_until = Some(now + LINGER);
             // the whole batch reached the socket: now (and only now) it
-            // counts, exactly as the blocking front-end recorded a
-            // summary only after a successful flush
+            // counts
             if state.tally == Tally::Conn {
                 if let Some(summary) = state.summary.take() {
                     record_summary(shared, state.conn_id, &state.peer, &summary);
@@ -1551,7 +1553,7 @@ fn step_http(
                     }
                     if draining {
                         // the shutdown drain between (or inside) requests
-                        // is a clean goodbye, as in the blocking loop
+                        // is a clean goodbye
                         return HttpStep::Finish;
                     }
                     if peer_eof {
@@ -1707,6 +1709,7 @@ fn step_http(
                     .summary()
                     .cloned()
                     .expect("a machine done without failure has a summary");
+                writeln!(response, "{}", summary.to_json_line()).expect(VEC_WRITE);
                 let ka = *keep_alive;
                 write_http_response(outbox, "200 OK", "application/x-ndjson", response, ka)
                     .expect(VEC_WRITE);
@@ -1781,11 +1784,11 @@ fn flush_outbox(state: &mut ConnState) -> std::io::Result<()> {
     Ok(())
 }
 
-/// A fresh [`SessionMachine`] whose completion wakes post `key` to this
-/// reactor's mailbox.
+/// A fresh [`SessionMachine`] whose every completion wake posts `key` to
+/// this reactor's mailbox, so answers stream as they complete.
 fn new_machine(shared: &ListenShared, mailbox: &Arc<Mailbox>, key: usize) -> Box<SessionMachine> {
     let mailbox = Arc::clone(mailbox);
-    let notify: Arc<dyn Fn() + Send + Sync> = Arc::new(move || mailbox.post_dirty(key));
+    let notify: Notify = Arc::new(move |_| mailbox.post_dirty(key));
     Box::new(SessionMachine::new(Arc::clone(&shared.ctx), notify))
 }
 

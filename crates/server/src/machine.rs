@@ -1,37 +1,30 @@
-//! The resumable per-connection session state machine behind the
-//! event-driven [`crate::listener`].
+//! The record pipeline: one resumable batch session that every serving
+//! path drives — the [`crate::listener`] reactor per connection (and so
+//! every `route` shard), and [`crate::engine::BatchSession::run`] for
+//! stdin `serve`/`batch`.
 //!
-//! [`SessionMachine`] is the non-blocking counterpart of
-//! [`crate::engine::BatchSession`]: instead of owning a `BufRead`/`Write`
-//! pair and blocking on it, the machine is *fed* raw socket bytes as they
-//! arrive (`feed`), dispatches parsed records onto the shared
-//! [`Executor`] as fire-and-forget jobs, receives completions through a
-//! wakeable inbox, and *pumped* (`pump`) emits response bytes in input
-//! order into whatever outbox the caller maintains. The I/O thread that
-//! drives it never blocks and never solves; the executor workers that
-//! solve never touch the socket.
+//! [`SessionMachine`] is fed raw request bytes (`feed`), parses them in
+//! waves of at most the chunk size, hands each wave's solves to the shared
+//! [`Executor`], and, when pumped (`pump`), emits response lines in input
+//! order. It never blocks. The next wave is parsed only once every solve
+//! of the current one has completed, so a record repeated after a
+//! completed wave is a solution-cache hit whichever thread drives it.
 //!
-//! Record semantics are identical to the blocking engine by construction:
-//! both paths share [`crate::engine`]'s `prepare_record` (parse-time
-//! solution-cache consultation), `solve_prepared` (the worker-side solve,
-//! warm starts and write-back included) and `settle_*` helpers (in-order
-//! accounting, deadline classification, latency exclusions). Records are
-//! parsed in *waves* of at most the engine chunk size, and the next wave
-//! is parsed only once the current wave's dispatches have all completed —
-//! which preserves the blocking engine's cross-record solution-cache
-//! behavior (a record repeated after a completed wave is a lookup hit) and
-//! its per-wave feature-cache accounting (duplicates within a wave count
-//! one miss plus hits).
+//! A wave is solved by at most `width` runner jobs that claim its records
+//! from a shared cursor, so a worker reaches the next record without a
+//! round trip through the owning thread. Between records a runner
+//! re-queues itself behind other pending executor work, the fairness rule
+//! of the executor's own batches.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use busytime_core::cancel::CancelToken;
-use busytime_core::memo::SolutionCache;
-use busytime_core::pool::{DeadlineOutcome, Executor};
+use busytime_core::memo::{CanonicalInstance, SolutionCache};
+use busytime_core::pool::Executor;
 use busytime_core::solve::SolverRegistry;
-use busytime_core::InstanceFeatures;
 
 use crate::engine::{
     effective_chunk_size, effective_width, lock_ignoring_poison, prepare_record, settle_bad,
@@ -40,81 +33,133 @@ use crate::engine::{
 };
 use crate::protocol::BatchRecord;
 
-/// Everything the machines of one listener share: the registry, the
-/// engine configuration, both caches, the executor and the shutdown
-/// token. One of these is built per listener and handed to every
-/// connection's machine as an `Arc`.
+/// Everything a session's records are solved against. A listener shares
+/// one with every connection; a [`crate::engine::BatchSession`] builds
+/// one per run.
 pub(crate) struct SessionContext {
     pub(crate) registry: Arc<SolverRegistry>,
     pub(crate) config: ServeConfig,
     pub(crate) cache: SharedFeatureCache,
     pub(crate) solutions: SolutionCache,
     pub(crate) executor: Executor,
-    /// The listener's shutdown token: parsing stops once it fires, and
-    /// every record token is armed as a child of it so a drain cuts
-    /// in-flight solves cooperatively.
+    /// The session (or listener shutdown) token: parsing stops once it
+    /// fires, and every record token is armed as a child of it so a drain
+    /// cuts in-flight solves cooperatively.
     pub(crate) cancel: CancelToken,
 }
 
-/// One completed solve, posted by an executor worker into the machine's
-/// inbox.
+/// The completion wake: called by runners after posting each completion,
+/// with `true` for the one that completes its wave. Must be cheap and
+/// non-blocking.
+pub(crate) type Notify = Arc<dyn Fn(bool) + Send + Sync>;
+
+/// One completed solve, posted by a runner into the machine's inbox.
 struct Completion {
     seq: usize,
-    outcome: DeadlineOutcome<RecordResult>,
+    outcome: RecordResult,
 }
 
-/// How one input-order slot will be (or was) answered.
+/// How one input-order slot is answered.
 enum Answer {
     /// The line failed to parse.
     Bad(String),
     /// Answered from the solution cache at parse time.
     Hit(busytime_core::SolveReport),
-    /// A completed dispatch.
-    Solved(DeadlineOutcome<RecordResult>),
-}
-
-enum SlotState {
-    /// Parsed and prepared, waiting for a dispatch slot under the
-    /// session's width cap.
-    Queued(Box<SolveItem>),
-    /// On (or queued behind) the executor; a [`Completion`] will fill it.
-    InFlight,
-    /// Answer known; drains once every earlier slot has drained.
-    Ready(Box<Answer>),
+    /// A completed solve.
+    Solved(RecordResult),
 }
 
 /// One record's input-order slot.
 struct Slot {
     line: usize,
     id: Option<String>,
-    state: SlotState,
+    /// `None` while the record's solve is in flight; drains once every
+    /// earlier slot has drained.
+    answer: Option<Box<Answer>>,
 }
 
-/// A resumable batch session over one connection: feed bytes in, pump
-/// response bytes out, in input order; see the [module docs](self).
+/// One dispatched wave: its solves (with their slot seqs) and the cursor
+/// its runner jobs claim them from.
+struct Wave {
+    items: Vec<(usize, SolveItem)>,
+    /// The next unclaimed index. It publishes no data — the items are
+    /// immutable once the wave is built — so `Relaxed` suffices.
+    cursor: AtomicUsize,
+    /// Records whose completion is not posted yet, unclaimed ones
+    /// included until `close` withdraws them.
+    pending: AtomicUsize,
+    ctx: Arc<SessionContext>,
+    inbox: Arc<Mutex<Vec<Completion>>>,
+    notify: Notify,
+}
+
+impl Wave {
+    fn claim(&self) -> Option<&(usize, SolveItem)> {
+        self.items.get(self.cursor.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// Stops runners from claiming further records (claimed ones finish)
+    /// and returns how many records will therefore never complete.
+    fn close(&self) -> usize {
+        let claimed = self.cursor.fetch_max(self.items.len(), Ordering::Relaxed);
+        let unclaimed = self.items.len() - claimed.min(self.items.len());
+        self.pending.fetch_sub(unclaimed, Ordering::AcqRel);
+        unclaimed
+    }
+
+    /// A runner job: solves claimed records until the wave runs dry,
+    /// yielding its worker to other pending executor work between
+    /// records.
+    fn run(self: Arc<Self>) {
+        while let Some((seq, item)) = self.claim() {
+            let outcome = solve_prepared(item, &self.ctx);
+            lock_ignoring_poison(&self.inbox).push(Completion { seq: *seq, outcome });
+            // the post above happens before the count drops, so the wave's
+            // last wake finds every one of its completions in the inbox
+            (self.notify)(self.pending.fetch_sub(1, Ordering::AcqRel) == 1);
+            let unclaimed = self.cursor.load(Ordering::Relaxed) < self.items.len();
+            if unclaimed && self.ctx.executor.queue_depth() > 0 {
+                let executor = self.ctx.executor.clone();
+                executor.spawn(move || self.run());
+                return;
+            }
+        }
+    }
+}
+
+/// Blank lines (whitespace only) are not records: they are skipped
+/// without an answer, though they still count toward line numbers.
+pub(crate) fn is_blank_line(line: &[u8]) -> bool {
+    std::str::from_utf8(line).is_ok_and(|line| line.trim().is_empty())
+}
+
+/// A resumable batch session: feed bytes in, pump response bytes out, in
+/// input order; see the [module docs](self).
 pub(crate) struct SessionMachine {
     ctx: Arc<SessionContext>,
-    /// Completions posted by executor workers; drained by `pump`.
+    /// Completions posted by runners; drained by `pump`.
     inbox: Arc<Mutex<Vec<Completion>>>,
-    /// Called by workers after posting a completion — the listener's hook
-    /// to wake the poll loop that owns this machine.
-    notify: Arc<dyn Fn() + Send + Sync>,
-    /// Unconsumed input bytes (complete lines are drained off the front).
+    notify: Notify,
+    /// Buffered input bytes; `inbuf[head..]` is unconsumed. Parsed lines
+    /// are drained off the front once per wave, not once per line.
     inbuf: Vec<u8>,
+    head: usize,
     /// Where the newline scan over `inbuf` resumes.
     scanned: usize,
     line_no: usize,
     /// `finish_input` was called: the client's end of batch.
     eof: bool,
-    /// FailFast (or a future fatal) latch: the batch is aborted, no
-    /// further answers stream, and the connection should be cut.
+    /// FailFast latch: the batch is aborted, no further answers stream,
+    /// and the connection should be cut.
     failed: Option<ServeError>,
     /// Input-order slots awaiting drain; `base_seq` is the front's seq.
     slots: VecDeque<Slot>,
     base_seq: usize,
     next_seq: usize,
-    /// Seqs parsed but not yet dispatched (width cap back-pressure).
-    queue: VecDeque<usize>,
+    /// The wave on the executor, until its solves are all answered.
+    wave: Option<Arc<Wave>>,
+    /// Solves of the current wave that will post a completion which has
+    /// not drained yet — after an abort, the claimed solves still running.
     inflight: usize,
     width: usize,
     chunk_size: usize,
@@ -124,11 +169,11 @@ pub(crate) struct SessionMachine {
 }
 
 impl SessionMachine {
-    /// A machine over the listener's shared context. `notify` is invoked
-    /// from executor workers whenever a completion lands in the inbox —
-    /// it must be cheap and non-blocking (the listener posts a wake to
-    /// the owning poll loop).
-    pub(crate) fn new(ctx: Arc<SessionContext>, notify: Arc<dyn Fn() + Send + Sync>) -> Self {
+    /// A machine over a shared context. `notify` is invoked from executor
+    /// workers whenever a completion lands in the inbox — the owner's
+    /// hook to wake whatever thread owns this machine — with `true` once
+    /// the wave's last completion has landed.
+    pub(crate) fn new(ctx: Arc<SessionContext>, notify: Notify) -> Self {
         let width = effective_width(&ctx.config, &ctx.executor);
         let chunk_size = effective_chunk_size(&ctx.config, width);
         SessionMachine {
@@ -136,6 +181,7 @@ impl SessionMachine {
             inbox: Arc::new(Mutex::new(Vec::new())),
             notify,
             inbuf: Vec::new(),
+            head: 0,
             scanned: 0,
             line_no: 0,
             eof: false,
@@ -143,7 +189,7 @@ impl SessionMachine {
             slots: VecDeque::new(),
             base_seq: 0,
             next_seq: 0,
-            queue: VecDeque::new(),
+            wave: None,
             inflight: 0,
             width,
             chunk_size,
@@ -153,30 +199,41 @@ impl SessionMachine {
         }
     }
 
-    /// Buffers freshly-read socket bytes. Call `pump` afterwards to parse
+    /// Records per wave.
+    pub(crate) fn chunk_size(&self) -> usize {
+        self.chunk_size
+    }
+
+    /// Buffers freshly-read request bytes. Call `pump` afterwards to parse
     /// and dispatch them.
     pub(crate) fn feed(&mut self, bytes: &[u8]) {
         self.inbuf.extend_from_slice(bytes);
     }
 
-    /// Marks the client's end of batch (half-close, idle cut, or the
+    /// Marks the client's end of batch (EOF, half-close, idle cut, or the
     /// listener's shutdown drain). Buffered complete lines — and a final
     /// unterminated one — are still parsed and answered.
     pub(crate) fn finish_input(&mut self) {
         self.eof = true;
     }
 
-    /// The batch is fully answered: summary emitted (or the batch
-    /// aborted), nothing in flight.
+    /// The machine would parse a new wave now, and its input has not
+    /// ended: the moment a blocking owner reads the next wave's lines.
+    pub(crate) fn wants_input(&self) -> bool {
+        !self.eof && self.can_parse()
+    }
+
+    /// The batch is fully answered: summary ready (or the batch aborted),
+    /// nothing in flight.
     pub(crate) fn is_done(&self) -> bool {
         self.summary.is_some() || self.failed.is_some()
     }
 
-    /// Records dispatched (or queued for dispatch) whose answers have not
-    /// come back yet — the signal that an idle wire does not mean an idle
-    /// session.
+    /// Records dispatched whose answers have not come back yet — the
+    /// signal that an idle wire does not mean an idle session. After an
+    /// abort ([`SessionMachine::halt`]), the solves still running.
     pub(crate) fn has_inflight(&self) -> bool {
-        self.inflight > 0 || !self.queue.is_empty()
+        self.inflight > 0
     }
 
     /// The batch summary, once the session finished cleanly.
@@ -189,60 +246,70 @@ impl SessionMachine {
         self.failed.as_ref()
     }
 
+    /// The finished batch: its summary, or why it aborted.
+    pub(crate) fn into_outcome(self) -> Result<BatchSummary, ServeError> {
+        match self.failed {
+            Some(error) => Err(error),
+            None => Ok(self.summary.expect("outcome of a finished session")),
+        }
+    }
+
+    /// Stops the current wave's runners from claiming further records;
+    /// solves already claimed run to completion.
+    pub(crate) fn halt(&mut self) {
+        if let Some(wave) = &self.wave {
+            self.inflight -= wave.close();
+        }
+    }
+
     /// Drives the machine as far as it can go without blocking: drains
-    /// worker completions, emits ready answers (in input order) into
+    /// runner completions, emits ready answers (in input order) into
     /// `out`, parses and dispatches the next wave when the current one is
-    /// complete, and appends the summary line once everything is
-    /// answered. `allow_parse = false` suspends parsing (outbox
-    /// back-pressure) while completions still drain.
-    ///
-    /// Returns `true` when bytes were appended to `out`.
-    pub(crate) fn pump(&mut self, out: &mut Vec<u8>, allow_parse: bool) -> bool {
-        let before = out.len();
+    /// complete, and freezes the summary once everything is answered.
+    /// `allow_parse = false` suspends parsing (outbox back-pressure)
+    /// while completions still drain.
+    pub(crate) fn pump(&mut self, out: &mut Vec<u8>, allow_parse: bool) {
         self.drain_inbox();
         loop {
             let mut progressed = self.drain_ready(out);
             if allow_parse && self.can_parse() {
                 progressed |= self.parse_wave();
             }
-            progressed |= self.dispatch_some();
             if !progressed {
                 break;
             }
         }
-        self.maybe_summarize(out);
-        out.len() > before
+        self.maybe_summarize();
     }
 
     /// Moves posted completions into their slots.
     fn drain_inbox(&mut self) {
         let completions = std::mem::take(&mut *lock_ignoring_poison(&self.inbox));
         for Completion { seq, outcome } in completions {
+            self.inflight -= 1;
+            if self.inflight == 0 {
+                // the wave is answered: let its records go with the last
+                // runner instead of holding them until the next wave
+                self.wave = None;
+            }
             // completions for slots cleared by a FailFast abort are stale
             if seq < self.base_seq {
                 continue;
             }
             let slot = &mut self.slots[seq - self.base_seq];
-            debug_assert!(matches!(slot.state, SlotState::InFlight));
-            slot.state = SlotState::Ready(Box::new(Answer::Solved(outcome)));
-            self.inflight -= 1;
+            debug_assert!(slot.answer.is_none());
+            slot.answer = Some(Box::new(Answer::Solved(outcome)));
         }
     }
 
     /// Streams the contiguous ready prefix, settling each answer into the
-    /// shared statistics exactly as the blocking engine does at write
-    /// time.
+    /// session statistics.
     fn drain_ready(&mut self, out: &mut Vec<u8>) -> bool {
         let mut any = false;
-        while matches!(
-            self.slots.front().map(|s| &s.state),
-            Some(SlotState::Ready(_))
-        ) {
+        while self.slots.front().is_some_and(|s| s.answer.is_some()) {
             let slot = self.slots.pop_front().expect("checked front");
             self.base_seq += 1;
-            let SlotState::Ready(answer) = slot.state else {
-                unreachable!("front checked Ready");
-            };
+            let answer = slot.answer.expect("front checked answered");
             let policy = self.ctx.config.error_policy;
             let settled = match *answer {
                 Answer::Bad(message) => settle_bad(slot.line, &message, policy, &mut self.stats),
@@ -275,121 +342,107 @@ impl SessionMachine {
         any
     }
 
-    /// Aborts the batch: later slots never answer (matching the blocking
-    /// engine, which returns mid-stream), and completions still in flight
-    /// are dropped as stale when they arrive.
+    /// Aborts the batch: later slots never answer, the wave's unclaimed
+    /// records are never solved, and completions of the claimed ones are
+    /// dropped as stale when they arrive.
     fn fail(&mut self, error: ServeError) {
         self.failed = Some(error);
+        self.halt();
         self.slots.clear();
-        self.queue.clear();
         self.base_seq = self.next_seq;
-        self.inflight = 0;
     }
 
-    /// A new wave may parse once the current one has fully completed —
-    /// the window in which the blocking engine would be between chunks.
-    /// (Completed means answered by the workers, not yet drained to the
-    /// client: write-backs have happened, so parse-time lookups stay
-    /// equivalent.) Parsing also stops at the shutdown token, exactly
-    /// like the blocking read loop.
+    /// A new wave may parse once the current one has fully completed
+    /// (answered by the runners, not yet drained to the client: its
+    /// write-backs have happened, so parse-time lookups see them).
+    /// Parsing also stops at the session token.
     fn can_parse(&self) -> bool {
         self.failed.is_none()
             && self.summary.is_none()
             && self.inflight == 0
-            && self.queue.is_empty()
             && !self.ctx.cancel.is_cancelled()
     }
 
-    /// Takes the next complete line off `inbuf` (or the final
-    /// unterminated line at EOF), like the blocking engine's `next_line`.
-    fn take_line(&mut self) -> Option<Vec<u8>> {
-        match self.inbuf[self.scanned..].iter().position(|&b| b == b'\n') {
-            Some(at) => {
-                let end = self.scanned + at + 1;
-                let line = self.inbuf[..end].to_vec();
-                self.inbuf.drain(..end);
-                self.scanned = 0;
-                Some(line)
-            }
+    /// Consumes the next complete line of `inbuf` (or the final
+    /// unterminated line at EOF) and returns its byte range.
+    fn take_line(&mut self) -> Option<std::ops::Range<usize>> {
+        let end = match self.inbuf[self.scanned..].iter().position(|&b| b == b'\n') {
+            Some(at) => self.scanned + at + 1,
+            None if self.eof && self.head < self.inbuf.len() => self.inbuf.len(),
             None => {
                 self.scanned = self.inbuf.len();
-                if self.eof && !self.inbuf.is_empty() {
-                    self.scanned = 0;
-                    Some(std::mem::take(&mut self.inbuf))
-                } else {
-                    None
-                }
+                return None;
             }
-        }
+        };
+        let line = self.head..end;
+        self.head = end;
+        self.scanned = end;
+        Some(line)
     }
 
-    /// Parses up to one chunk of buffered records into new slots: bad
-    /// lines and solution-cache hits become `Ready` immediately, solves
-    /// are queued for dispatch. Runs the wave's feature-cache accounting
-    /// the way the blocking engine's batched detection pass counts it.
+    /// Parses up to one chunk of buffered records into new slots and
+    /// dispatches the wave's solves: bad lines and solution-cache hits
+    /// are answered at once. Counts the wave's feature-cache lookups.
     fn parse_wave(&mut self) -> bool {
-        let mut wave: Vec<usize> = Vec::new();
-        while wave.len() < self.chunk_size {
-            let Some(buf) = self.take_line() else { break };
+        let mut records = 0;
+        let mut solves: Vec<(usize, SolveItem)> = Vec::new();
+        while records < self.chunk_size {
+            let Some(line) = self.take_line() else { break };
             self.line_no += 1;
-            let parsed = std::str::from_utf8(&buf)
+            let bytes = &self.inbuf[line];
+            if is_blank_line(bytes) {
+                continue;
+            }
+            let parsed = std::str::from_utf8(bytes)
                 .map_err(|e| format!("line is not valid UTF-8: {e}"))
-                .and_then(|line| {
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
-                        return Ok(None); // blank lines are not records
-                    }
-                    BatchRecord::parse(trimmed)
-                        .map(Some)
-                        .map_err(|e| e.to_string())
-                });
-            match parsed {
-                Ok(None) => continue,
-                Ok(Some(record)) => {
-                    self.stats.records += 1;
-                    let item = prepare_record(
+                .and_then(|line| BatchRecord::parse(line.trim()).map_err(|e| e.to_string()));
+            let seq = self.next_seq;
+            let mut abort = false;
+            let (id, answer) = match parsed {
+                Ok(record) => {
+                    let mut item = prepare_record(
                         record,
-                        self.line_no,
                         &self.ctx.registry,
                         &self.ctx.config,
                         &self.ctx.solutions,
                         &mut self.stats,
                     );
-                    wave.push(self.push_slot(item));
-                }
-                Err(message) => {
-                    self.stats.records += 1;
-                    self.slots.push_back(Slot {
-                        line: self.line_no,
-                        id: None,
-                        state: SlotState::Ready(Box::new(Answer::Bad(message))),
-                    });
-                    self.next_seq += 1;
-                    wave.push(self.next_seq - 1);
-                    if self.ctx.config.error_policy == ErrorPolicy::FailFast {
-                        // no point parsing past the abort point; records
-                        // before it still stream
-                        break;
+                    let id = item.record.id.clone();
+                    match item.hit.take() {
+                        Some(report) => (id, Some(Box::new(Answer::Hit(report)))),
+                        None => {
+                            solves.push((seq, item));
+                            (id, None)
+                        }
                     }
                 }
+                Err(message) => {
+                    // no point parsing past the abort point; records
+                    // before it still stream
+                    abort = self.ctx.config.error_policy == ErrorPolicy::FailFast;
+                    (None, Some(Box::new(Answer::Bad(message))))
+                }
+            };
+            self.stats.records += 1;
+            records += 1;
+            self.next_seq += 1;
+            self.slots.push_back(Slot {
+                line: self.line_no,
+                id,
+                answer,
+            });
+            if abort {
+                break;
             }
         }
-        if wave.is_empty() {
-            return false;
-        }
-        // the wave's feature-cache accounting, counted at parse time the
-        // way the blocking engine's batched detection pass counts it: a
+        self.inbuf.drain(..self.head);
+        self.scanned -= self.head;
+        self.head = 0;
+        // the wave's feature-cache accounting, counted at parse time: a
         // shared-cache hit per already-known instance, one miss per
         // distinct fresh instance, hits for duplicates within the wave
-        let mut fresh: Vec<busytime_core::memo::CanonicalInstance> = Vec::new();
-        for &seq in &wave {
-            let slot = &mut self.slots[seq - self.base_seq];
-            let SlotState::Queued(item) = &mut slot.state else {
-                continue;
-            };
-            if item.hit.is_some() {
-                continue;
-            }
+        let mut fresh: Vec<CanonicalInstance> = Vec::new();
+        for (_, item) in &mut solves {
             if let Some(features) = self.ctx.cache.lookup(&item.canon) {
                 self.stats.cache_hits += 1;
                 item.features = Some(features);
@@ -400,105 +453,45 @@ impl SessionMachine {
             }
         }
         self.stats.cache_misses += fresh.len();
-        true
+        self.dispatch(solves);
+        records > 0
     }
 
-    /// Appends a slot for a prepared record: cache hits are `Ready` at
-    /// once (they never reach the executor), solves join the dispatch
-    /// queue. Returns the slot's seq.
-    fn push_slot(&mut self, mut item: SolveItem) -> usize {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let line = item.line;
-        let id = item.record.id.clone();
-        let state = match item.hit.take() {
-            Some(report) => SlotState::Ready(Box::new(Answer::Hit(report))),
-            None => {
-                self.queue.push_back(seq);
-                SlotState::Queued(Box::new(item))
-            }
-        };
-        self.slots.push_back(Slot { line, id, state });
-        seq
-    }
-
-    /// Spawns queued records onto the executor up to the session's width
-    /// cap — the event-driven analogue of the blocking engine's
-    /// `par_map_deadline_under(width, ..)` fairness: one session cannot
-    /// occupy more than its share of workers no matter how many records
-    /// it has parsed.
-    fn dispatch_some(&mut self) -> bool {
-        let mut any = false;
-        while self.inflight < self.width {
-            let Some(seq) = self.queue.pop_front() else {
-                break;
-            };
-            let slot = &mut self.slots[seq - self.base_seq];
-            let state = std::mem::replace(&mut slot.state, SlotState::InFlight);
-            let SlotState::Queued(item) = state else {
-                unreachable!("queued seqs hold Queued slots");
-            };
-            self.inflight += 1;
-            any = true;
-            let ctx = Arc::clone(&self.ctx);
-            let inbox = Arc::clone(&self.inbox);
-            let notify = Arc::clone(&self.notify);
-            let executor = ctx.executor.clone();
-            executor.spawn(move || {
-                let mut item = item;
-                // feature detection runs worker-side, before the record's
-                // budget is armed — detection time is charged to the
-                // batch, never to the record, exactly as the blocking
-                // engine's separate detection pass does. The shared cache
-                // still deduplicates across records and connections.
-                if item.features.is_none() {
-                    item.features = Some(match ctx.cache.lookup(&item.canon) {
-                        Some(features) => features,
-                        None => {
-                            let features = InstanceFeatures::detect(&item.inst);
-                            ctx.cache.insert(item.canon.clone(), features.clone());
-                            features
-                        }
-                    });
-                }
-                // arm the record's budget at pickup (a child of the
-                // session token, so a shutdown drain cuts it too)
-                let token = match item.budget {
-                    Some(budget) => ctx.cancel.child_after(budget),
-                    None => ctx.cancel.child(),
-                };
-                let solve_started = Instant::now();
-                let result =
-                    solve_prepared(&item, &ctx.registry, &ctx.config, &ctx.solutions, &token);
-                let elapsed = solve_started.elapsed();
-                let outcome = DeadlineOutcome {
-                    result,
-                    elapsed,
-                    // the dispatching clock is the enforcement of last
-                    // resort for uncooperative solves, exactly like the
-                    // deadline pool's own stamp
-                    over_deadline: item.budget.is_some_and(|b| elapsed > b),
-                };
-                lock_ignoring_poison(&inbox).push(Completion { seq, outcome });
-                notify();
-            });
+    /// Hands a wave's solves to at most `width` runner jobs — the session
+    /// cannot occupy more than its share of workers no matter how many
+    /// records it parsed.
+    fn dispatch(&mut self, solves: Vec<(usize, SolveItem)>) {
+        if solves.is_empty() {
+            return;
         }
-        any
+        self.inflight = solves.len();
+        let runners = self.width.min(solves.len());
+        let wave = Arc::new(Wave {
+            pending: AtomicUsize::new(solves.len()),
+            items: solves,
+            cursor: AtomicUsize::new(0),
+            ctx: Arc::clone(&self.ctx),
+            inbox: Arc::clone(&self.inbox),
+            notify: Arc::clone(&self.notify),
+        });
+        for _ in 0..runners {
+            let wave = Arc::clone(&wave);
+            self.ctx.executor.spawn(move || wave.run());
+        }
+        self.wave = Some(wave);
     }
 
-    /// Emits the summary line once the input has ended (or the shutdown
-    /// token fired) and every slot has drained.
-    fn maybe_summarize(&mut self, out: &mut Vec<u8>) {
+    /// Freezes the summary once the input has ended (or the session token
+    /// fired) and every slot has drained. The owner writes the trailer.
+    fn maybe_summarize(&mut self) {
         if self.summary.is_some() || self.failed.is_some() {
             return;
         }
         let input_done = (self.eof && self.inbuf.is_empty()) || self.ctx.cancel.is_cancelled();
-        if !input_done || !self.slots.is_empty() || !self.queue.is_empty() || self.inflight > 0 {
+        if !input_done || !self.slots.is_empty() || self.inflight > 0 {
             return;
         }
         let summary = std::mem::take(&mut self.stats).summarize(self.started.elapsed(), self.width);
-        out.extend_from_slice(summary.to_json_line().as_bytes());
-        out.push(b'\n');
         self.summary = Some(summary);
     }
 }

@@ -246,3 +246,57 @@ fn deadline_ms_round_trips_through_the_wire() {
     }
     assert!(summary.to_json_line().contains("\"deadline_hits\": 1"));
 }
+
+/// Replaces every timing value (`"ms": …`, `"total_ms": …`) with `0`:
+/// the only bytes of a response line that differ between two runs.
+fn mask_timings(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find("ms\": ") {
+        let (head, tail) = rest.split_at(at + "ms\": ".len());
+        out.push_str(head);
+        out.push('0');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn byte_at_a_time_reader_matches_the_slice_reader() {
+    // chunk 2. In the first input the repeat of `a` opens the second
+    // wave, so it is a solution-cache hit; a blank line and an
+    // unterminated final line ride along. In the second the unterminated
+    // repeat is the wave's last record: it joins `a`'s wave and misses.
+    let a = r#"{"id": "a", "instance": {"g": 2, "jobs": [[0, 4], [1, 5], [6, 9]]}}"#;
+    let b = r#"{"id": "b", "generator": {"family": "proper", "n": 12, "seed": 3}}"#;
+    let config = ServeConfig {
+        chunk_size: 2,
+        ..ServeConfig::default()
+    };
+    let registry = SolverRegistry::with_defaults();
+    for (input, records, hits) in [
+        (format!("{a}\n\n{b}\n{a}"), 3, 1),
+        (format!("{a}\n{a}"), 2, 0),
+    ] {
+        let mut sliced = Vec::new();
+        let by_slice = serve(input.as_bytes(), &mut sliced, &registry, &config).unwrap();
+        let mut trickled = Vec::new();
+        // a one-byte buffer: every `fill_buf` hands out a single byte
+        let one_byte = std::io::BufReader::with_capacity(1, input.as_bytes());
+        let by_byte = serve(one_byte, &mut trickled, &registry, &config).unwrap();
+
+        let sliced = String::from_utf8(sliced).unwrap();
+        assert_eq!(
+            mask_timings(&String::from_utf8(trickled).unwrap()),
+            mask_timings(&sliced)
+        );
+        assert_eq!(sliced.lines().count(), records, "{sliced}");
+        for summary in [&by_slice, &by_byte] {
+            assert_eq!(summary.records, records);
+            assert_eq!(summary.solved, records);
+            assert_eq!(summary.solution_cache_hits, hits, "{input}");
+            assert_eq!(summary.solution_cache_misses, records - hits, "{input}");
+        }
+    }
+}

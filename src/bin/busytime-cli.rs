@@ -451,6 +451,9 @@ fn cmd_listen(opts: &HashMap<String, String>) -> Result<(), String> {
     let quiet = opts.contains_key("quiet");
     let listener = Listener::bind(&mode, std::sync::Arc::new(full_registry()), config)
         .map_err(|e| e.to_string())?;
+    // handlers go in before the banner: a client that signals as soon as
+    // it reads the banner must get a drain, not the default kill
+    install_shutdown_signals(listener.shutdown_token());
     // the bound endpoint resolves ephemeral ports; clients (and the CI
     // smoke job) read it off stderr. The worker figure is the honest one:
     // the process-wide executor budget shared by every connection.
@@ -460,7 +463,6 @@ fn cmd_listen(opts: &HashMap<String, String>) -> Result<(), String> {
         listener.endpoint(),
         executor.workers()
     );
-    install_shutdown_signals(listener.shutdown_token());
     let report = listener.run().map_err(|e| e.to_string())?;
     if !quiet {
         eprintln!("{report}");

@@ -148,3 +148,18 @@ fn listen_idle_timeout_exits_cleanly_without_signals() {
         std::thread::sleep(Duration::from_millis(50));
     }
 }
+
+#[test]
+fn listen_drains_a_sigint_sent_right_after_the_banner() {
+    // the signal handlers must be in place before the banner is printed:
+    // a supervisor that signals as soon as it reads the endpoint must get
+    // a clean drain (exit 0), not a death by signal
+    let (mut child, _addr, _stderr) = spawn_listener(&["--quiet"]);
+    sigint(&child);
+    let status = child.wait().unwrap();
+    assert_eq!(
+        status.code(),
+        Some(0),
+        "listen must drain a SIGINT sent right after its banner: {status:?}"
+    );
+}
