@@ -7,8 +7,12 @@ use busytime_core::algo::{CliqueScheduler, FirstFit, NextFitProper, Scheduler};
 use busytime_instances::clique::random_clique;
 use busytime_instances::proper::random_proper;
 use busytime_instances::random::{uniform, LengthDist};
+use busytime_instances::{Family, GeneratorSpec};
 use busytime_lab::{experiments, Scale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+
+/// Job counts of the sparse-horizon FirstFit curve (10k to 160k).
+const SPARSE_SIZES: [usize; 3] = [10_000, 40_000, 160_000];
 
 fn bench(c: &mut Criterion) {
     print_table(&experiments::systems::e10_scalability(Scale::Quick));
@@ -18,6 +22,25 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("scalability/first_fit");
     for &n in &sizes {
         let inst = uniform(n, n as i64 / 2, LengthDist::Uniform(4, 100), 4, 1);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
+            b.iter(|| FirstFit::paper().schedule(black_box(inst)).unwrap())
+        });
+    }
+    group.finish();
+
+    // the `uniform` generator spec keeps the horizon at n, so each machine's
+    // profile grows to thousands of steps; the group above scales the
+    // horizon with n and keeps steps per machine constant, so it cannot
+    // see a per-step cost in the profile. `scripts/slope_gate.py` fits the
+    // log-log slope of this group's minimum timings.
+    let mut group = c.benchmark_group("scalability/first_fit_sparse");
+    for &n in &SPARSE_SIZES {
+        let inst = GeneratorSpec {
+            n,
+            ..GeneratorSpec::new(Family::Uniform)
+        }
+        .generate();
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
             b.iter(|| FirstFit::paper().schedule(black_box(inst)).unwrap())

@@ -4,6 +4,7 @@
 use std::borrow::Cow;
 
 use busytime_graph::IntervalGraph;
+use busytime_interval::OverlapProfile;
 
 use crate::algo::{Scheduler, SchedulerError};
 use crate::cancel::CancelToken;
@@ -57,15 +58,16 @@ impl Scheduler for NextFitArrival {
     ) -> Result<Schedule, SchedulerError> {
         let g = inst.g();
         let mut raw = vec![0usize; inst.len()];
-        let mut current = MachineLoad::new();
+        // only the open machine's count profile is ever consulted
+        let mut current = OverlapProfile::new();
         let mut machine = 0usize;
         for (id, slot) in raw.iter_mut().enumerate() {
             let iv = inst.job(id);
-            if !current.is_empty() && !current.can_fit(&iv, g) {
+            if !current.is_empty() && !current.can_add(&iv, g) {
                 machine += 1;
-                current = MachineLoad::new();
+                current = OverlapProfile::new();
             }
-            current.push(id, &iv);
+            current.add(&iv);
             *slot = machine;
         }
         if inst.is_empty() {
@@ -145,7 +147,7 @@ impl Scheduler for RandomFit {
         let g = inst.g();
         let mut order: Vec<usize> = (0..inst.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(inst.job(i).len()));
-        let mut machines: Vec<MachineLoad> = Vec::new();
+        let mut machines: Vec<OverlapProfile> = Vec::new();
         let mut raw = vec![0usize; inst.len()];
         let mut state = self.seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut next = move || {
@@ -163,16 +165,16 @@ impl Scheduler for RandomFit {
                 machines
                     .iter()
                     .enumerate()
-                    .filter(|(_, m)| m.can_fit(&iv, g))
+                    .filter(|(_, m)| m.can_add(&iv, g))
                     .map(|(idx, _)| idx),
             );
             let slot = if feasible.is_empty() {
-                machines.push(MachineLoad::new());
+                machines.push(OverlapProfile::new());
                 machines.len() - 1
             } else {
                 feasible[(next() % feasible.len() as u64) as usize]
             };
-            machines[slot].push(id, &iv);
+            machines[slot].add(&iv);
             raw[id] = slot;
         }
         Ok(Schedule::from_assignment(raw))

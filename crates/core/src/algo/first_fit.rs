@@ -16,10 +16,11 @@
 
 use std::borrow::Cow;
 
+use busytime_interval::OverlapProfile;
+
 use crate::algo::{Scheduler, SchedulerError};
 use crate::cancel::CancelToken;
 use crate::instance::Instance;
-use crate::machine::MachineLoad;
 use crate::schedule::Schedule;
 
 /// Primary ordering of jobs before the greedy pass.
@@ -130,7 +131,9 @@ impl Scheduler for FirstFit {
         _cancel: &CancelToken,
     ) -> Result<Schedule, SchedulerError> {
         let g = inst.g();
-        let mut machines: Vec<MachineLoad> = Vec::new();
+        // the greedy pass only ever asks each machine's count profile
+        // whether a job fits, so that profile is all it keeps per machine
+        let mut machines: Vec<OverlapProfile> = Vec::new();
         let mut raw = vec![0usize; inst.len()];
         crate::pool::scratch::with(|arena| {
             let order = &mut arena.ids;
@@ -139,12 +142,12 @@ impl Scheduler for FirstFit {
                 let iv = inst.job(id);
                 let slot = machines
                     .iter()
-                    .position(|m| m.can_fit(&iv, g))
+                    .position(|m| m.can_add(&iv, g))
                     .unwrap_or_else(|| {
-                        machines.push(MachineLoad::new());
+                        machines.push(OverlapProfile::new());
                         machines.len() - 1
                     });
-                machines[slot].push(id, &iv);
+                machines[slot].add(&iv);
                 raw[id] = slot;
             }
         });

@@ -26,7 +26,7 @@
 //!
 //! Invalidation is LRU-only: entries are never invalidated by content
 //! (solves are deterministic for a given fingerprint), only evicted when
-//! the cache is full. Reports that were cut by a deadline or budget are
+//! the cache is full — of entries, or of its 2²⁰ cached jobs. Reports that were cut by a deadline or budget are
 //! never inserted, and every insert re-validates the schedule against the
 //! canonical instance — a cache hit is always a feasible, clean solve.
 //!
@@ -356,6 +356,10 @@ struct Entry {
 
 struct Inner {
     capacity: usize,
+    /// Most canonical jobs retained across all entries.
+    job_budget: usize,
+    /// Canonical jobs held by the live entries.
+    jobs: usize,
     tick: u64,
     next_id: u64,
     entries: HashMap<u64, Entry>,
@@ -376,7 +380,8 @@ const WARM_SCAN_LIMIT: usize = 256;
 /// A process-wide LRU memo of validated [`SolveReport`]s keyed by
 /// [`CanonicalInstance`] + [`SolveFingerprint`]. Clones share one cache
 /// (`Arc<Mutex<…>>`), mirroring the PR 5 `SharedFeatureCache`; a capacity
-/// of 0 disables it entirely (every operation is a no-op).
+/// of 0 disables it entirely (every operation is a no-op). Besides the
+/// entry capacity, the cache holds at most 2²⁰ jobs in total.
 ///
 /// ```
 /// use busytime_core::memo::{CanonicalInstance, SolutionCache, SolveFingerprint};
@@ -416,12 +421,29 @@ impl std::fmt::Debug for SolutionCache {
 }
 
 impl SolutionCache {
+    /// Most canonical jobs retained across all entries. Each cached job
+    /// costs about 24 bytes (its interval plus its assignment slot), so the
+    /// budget caps the cache near 24 MiB however large the records are: an
+    /// insert evicts least-recently-used entries until it fits, and an
+    /// instance larger than the whole budget is never stored. Records of a
+    /// few hundred jobs fill the entry capacity long before the budget
+    /// binds.
+    const JOB_BUDGET: usize = 1 << 20;
+
     /// A cache holding at most `capacity` reports (LRU eviction); 0
     /// disables the cache.
     pub fn new(capacity: usize) -> Self {
+        Self::with_job_budget(capacity, Self::JOB_BUDGET)
+    }
+
+    /// [`SolutionCache::new`] with a different job budget (tests pin a
+    /// small one to exercise budget eviction).
+    fn with_job_budget(capacity: usize, job_budget: usize) -> Self {
         SolutionCache {
             inner: Arc::new(Mutex::new(Inner {
                 capacity,
+                job_budget,
+                jobs: 0,
                 tick: 0,
                 next_id: 0,
                 entries: HashMap::new(),
@@ -475,9 +497,10 @@ impl SolutionCache {
     }
 
     /// Inserts a finished solve. Only clean reports are accepted: not
-    /// deadline-cut, not budget-cut, and the schedule (remapped to
-    /// canonical order) must validate against the canonical instance —
-    /// so a later hit can skip validation at any level.
+    /// deadline-cut, not budget-cut, no larger than the job budget, and
+    /// the schedule (remapped to canonical order) must validate against
+    /// the canonical instance — so a later hit can skip validation at any
+    /// level.
     pub fn insert(&self, canon: &CanonicalInstance, fp: &SolveFingerprint, report: &SolveReport) {
         if report.deadline_hit
             || report.budget_exhausted
@@ -624,6 +647,9 @@ impl Inner {
         fp: &SolveFingerprint,
         report: SolveReport,
     ) {
+        if canon.len() > self.job_budget {
+            return;
+        }
         // a duplicate insert refreshes the existing entry instead of
         // storing a twin
         if let Some(ids) = self.buckets.get(&key) {
@@ -636,7 +662,7 @@ impl Inner {
                 return;
             }
         }
-        while self.entries.len() >= self.capacity {
+        while self.entries.len() >= self.capacity || self.jobs + canon.len() > self.job_budget {
             let (&oldest_tick, &oldest_id) = self
                 .order
                 .iter()
@@ -647,6 +673,7 @@ impl Inner {
                 .entries
                 .remove(&oldest_id)
                 .expect("evicted entry exists");
+            self.jobs -= evicted.jobs.len();
             if let Some(ids) = self.buckets.get_mut(&evicted.hash) {
                 ids.retain(|&id| id != oldest_id);
                 if ids.is_empty() {
@@ -656,6 +683,7 @@ impl Inner {
         }
         self.tick += 1;
         self.next_id += 1;
+        self.jobs += canon.len();
         let id = self.next_id;
         self.buckets.entry(key).or_default().push(id);
         self.order.insert(self.tick, id);
@@ -672,6 +700,7 @@ impl Inner {
             },
         );
         debug_assert!(self.entries.len() <= self.capacity);
+        debug_assert!(self.jobs <= self.job_budget);
         debug_assert!(self.entries.values().all(|e| e.id <= self.next_id));
     }
 }
@@ -807,6 +836,63 @@ mod tests {
         assert!(cache
             .lookup(&CanonicalInstance::of(&instances[1]), &fp("first-fit"))
             .is_some());
+    }
+
+    #[test]
+    fn job_budget_evicts_least_recent_entries() {
+        // room for 8 entries but only 6 jobs: three 2-job instances fill
+        // it, and a 3-job one must evict the two least recently used
+        let cache = SolutionCache::with_job_budget(8, 6);
+        let pairs: Vec<Instance> = (0..3)
+            .map(|i| Instance::from_pairs([(i, i + 4), (i + 1, i + 5)], 2))
+            .collect();
+        for inst in &pairs {
+            cache.insert(
+                &CanonicalInstance::of(inst),
+                &fp("first-fit"),
+                &report_for(inst, "first-fit"),
+            );
+        }
+        assert_eq!(cache.stats().entries, 3);
+        // touch 0, so 1 and 2 are the eviction victims
+        let canon0 = CanonicalInstance::of(&pairs[0]);
+        assert!(cache.lookup(&canon0, &fp("first-fit")).is_some());
+        let triple = Instance::from_pairs([(20, 24), (21, 25), (22, 26)], 2);
+        cache.insert(
+            &CanonicalInstance::of(&triple),
+            &fp("first-fit"),
+            &report_for(&triple, "first-fit"),
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.capacity), (2, 8));
+        assert!(cache.lookup(&canon0, &fp("first-fit")).is_some());
+        for evicted in &pairs[1..] {
+            assert!(cache
+                .lookup(&CanonicalInstance::of(evicted), &fp("first-fit"))
+                .is_none());
+        }
+        assert!(cache
+            .lookup(&CanonicalInstance::of(&triple), &fp("first-fit"))
+            .is_some());
+    }
+
+    #[test]
+    fn instance_over_the_job_budget_is_never_stored() {
+        let cache = SolutionCache::with_job_budget(8, 2);
+        let small = Instance::from_pairs([(0, 4)], 2);
+        let canon_small = CanonicalInstance::of(&small);
+        cache.insert(
+            &canon_small,
+            &fp("first-fit"),
+            &report_for(&small, "first-fit"),
+        );
+        let big = Instance::from_pairs([(0, 4), (1, 5), (2, 6)], 2);
+        let canon_big = CanonicalInstance::of(&big);
+        cache.insert(&canon_big, &fp("first-fit"), &report_for(&big, "first-fit"));
+        // refused outright: nothing evicted to make room for it
+        assert_eq!(cache.stats().entries, 1);
+        assert!(cache.lookup(&canon_big, &fp("first-fit")).is_none());
+        assert!(cache.lookup(&canon_small, &fp("first-fit")).is_some());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use busytime_core::algo::{
     NextFitProper, RandomFit, Scheduler,
 };
 use busytime_core::{bounds, verify, Instance};
-use busytime_interval::Interval;
+use busytime_interval::{sweep, Interval};
 use proptest::prelude::*;
 
 fn arb_instance(max_n: usize) -> impl Strategy<Value = Instance> {
@@ -209,6 +209,56 @@ proptest! {
             }
         }
         prop_assert!(d >= inst.max_len());
+    }
+}
+
+/// FirstFit by definition: each job, in FirstFit's processing order,
+/// goes to the lowest-indexed machine where `sweep::max_overlap` over the
+/// machine's jobs plus the job stays at most `g`. Only the machine's jobs
+/// that intersect the candidate are swept: the machine is feasible before
+/// the candidate arrives, so counts can only exceed `g` on the candidate.
+fn reference_first_fit(ff: &FirstFit, inst: &Instance) -> Vec<usize> {
+    let mut machines: Vec<Vec<Interval>> = Vec::new();
+    let mut assignment = vec![0; inst.len()];
+    for id in ff.job_order(inst) {
+        let job = inst.job(id);
+        let fits = |jobs: &Vec<Interval>| {
+            let mut family: Vec<Interval> =
+                jobs.iter().copied().filter(|j| j.overlaps(&job)).collect();
+            family.push(job);
+            sweep::max_overlap(&family) <= inst.g() as usize
+        };
+        let slot = machines.iter().position(fits).unwrap_or_else(|| {
+            machines.push(Vec::new());
+            machines.len() - 1
+        });
+        machines[slot].push(job);
+        assignment[id] = slot;
+    }
+    assignment
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// FirstFit's assignment is exactly the naive greedy's on instances of
+    /// up to a few thousand jobs over a wide horizon, where each machine's
+    /// count profile spans many chunks.
+    #[test]
+    fn first_fit_matches_naive_reference_greedy(
+        pairs in proptest::collection::vec((0i64..6_000, 1i64..80), 1..3_000),
+        g in 1u32..6,
+        seed in 0u64..1_000,
+    ) {
+        let inst = Instance::new(
+            pairs.into_iter().map(|(s, l)| Interval::with_len(s, l)).collect(),
+            g,
+        );
+        for ff in [FirstFit::paper(), FirstFit::seeded(seed)] {
+            let sched = ff.schedule(&inst).unwrap();
+            let reference = reference_first_fit(&ff, &inst);
+            prop_assert_eq!(sched.assignment(), reference.as_slice());
+        }
     }
 }
 

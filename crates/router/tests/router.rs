@@ -57,8 +57,17 @@ fn nap_registry(hold: Duration) -> SolverRegistry {
 }
 
 fn record(id: &str) -> String {
+    shifted_record(id, 0)
+}
+
+/// A `nap` record whose two jobs start at `shift`: distinct shifts are
+/// distinct instances, so no shard answers one from its solution cache.
+fn shifted_record(id: &str, shift: i64) -> String {
+    let (a, b) = (shift, shift + 1);
     format!(
-        r#"{{"id": "{id}", "instance": {{"g": 2, "jobs": [[0, 4], [1, 5]]}}, "solver": "nap"}}"#
+        r#"{{"id": "{id}", "instance": {{"g": 2, "jobs": [[{a}, {}], [{b}, {}]]}}, "solver": "nap"}}"#,
+        a + 4,
+        b + 4
     )
 }
 
@@ -173,9 +182,15 @@ impl Client {
 /// Sends `ids` as one batch and returns all response lines (trailer
 /// included, as the last line).
 fn run_batch(addr: SocketAddr, ids: &[String]) -> Vec<String> {
+    let records: Vec<String> = ids.iter().map(|id| record(id)).collect();
+    run_records(addr, &records)
+}
+
+/// Sends `records` as one batch and returns all response lines.
+fn run_records(addr: SocketAddr, records: &[String]) -> Vec<String> {
     let mut client = Client::connect(addr);
-    for id in ids {
-        client.send(&record(id));
+    for line in records {
+        client.send(line);
     }
     client.finish();
     client.read_to_end()
@@ -293,15 +308,22 @@ fn merged_trailer_sums_solution_cache_counts_across_shards() {
 fn two_one_worker_shards_beat_one_through_the_router() {
     // the additive-capacity claim: 8 records of ~40ms on one 1-worker
     // shard cost >= 320ms serialized; the same batch through a router
-    // over TWO 1-worker shards must be strictly faster
+    // over TWO 1-worker shards must be strictly faster. The records are
+    // distinct instances: copies of one would let the solo shard answer
+    // all but the first from its solution cache
     let nap = Duration::from_millis(40);
     let ids: Vec<String> = (0..8).map(|i| format!("p-{i}")).collect();
+    let records: Vec<String> = ids
+        .iter()
+        .enumerate()
+        .map(|(i, id)| shifted_record(id, 10 * i as i64))
+        .collect();
 
     let solo = start_shard(nap, 1, "solo");
     let started = Instant::now();
     let shards = vec![ShardState::new(0, solo.addr.to_string())];
     let front = start_router(shards, quiet_route_config());
-    let lines = run_batch(front.addr, &ids);
+    let lines = run_records(front.addr, &records);
     let solo_elapsed = started.elapsed();
     assert_ordered_batch(&lines, &ids);
     front.stop();
@@ -315,7 +337,7 @@ fn two_one_worker_shards_beat_one_through_the_router() {
         ShardState::new(1, b.addr.to_string()),
     ];
     let front = start_router(shards, quiet_route_config());
-    let lines = run_batch(front.addr, &ids);
+    let lines = run_records(front.addr, &records);
     let dual_elapsed = started.elapsed();
     assert_ordered_batch(&lines, &ids);
     front.stop();

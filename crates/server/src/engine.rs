@@ -410,8 +410,14 @@ impl std::fmt::Display for BatchSummary {
 /// least-recently-used entry is evicted — so a hot instance survives any
 /// amount of churn by cold ones. (The original epoch-reset policy dropped
 /// the *whole* cache at capacity, wiping hot entries along with cold.)
+/// Eviction also runs while the cached canonical instances would exceed a
+/// total job budget, so large records cannot pin memory by entry count.
 struct FeatureCache {
     cap: usize,
+    /// Most canonical jobs retained across all entries.
+    job_budget: usize,
+    /// Canonical jobs held by the live entries.
+    jobs: usize,
     /// Monotone recency clock, bumped on every hit and insert.
     tick: u64,
     next_id: u64,
@@ -445,9 +451,21 @@ impl FeatureCache {
     /// Distinct instances retained before LRU eviction kicks in.
     const CAP: usize = 4096;
 
+    /// Most canonical jobs retained across all entries. Each costs about
+    /// 24 bytes (its interval plus its permutation slot), so the budget
+    /// caps the cache near 24 MiB; an instance larger than the whole
+    /// budget is never stored.
+    const JOB_BUDGET: usize = 1 << 20;
+
     fn with_capacity(cap: usize) -> Self {
+        Self::with_limits(cap, Self::JOB_BUDGET)
+    }
+
+    fn with_limits(cap: usize, job_budget: usize) -> Self {
         FeatureCache {
             cap: cap.max(1),
+            job_budget,
+            jobs: 0,
             tick: 0,
             next_id: 0,
             entries: HashMap::new(),
@@ -485,13 +503,14 @@ impl FeatureCache {
         // another session may have inserted the same instance between this
         // session's miss and its detection finishing: refresh the recency
         // instead of duplicating the entry
-        if self.find_and_touch(&canon).is_some() {
+        if canon.len() > self.job_budget || self.find_and_touch(&canon).is_some() {
             return;
         }
         let key = canon.hash();
-        while self.entries.len() >= self.cap {
+        while self.entries.len() >= self.cap || self.jobs + canon.len() > self.job_budget {
             let (_, id) = self.order.pop_first().expect("order tracks entries");
             let victim = self.entries.remove(&id).expect("entry for LRU id");
+            self.jobs -= victim.canon.len();
             let bucket = self.buckets.get_mut(&victim.key).expect("bucket for entry");
             bucket.retain(|&b| b != id);
             if bucket.is_empty() {
@@ -500,6 +519,7 @@ impl FeatureCache {
         }
         self.tick += 1;
         self.next_id += 1;
+        self.jobs += canon.len();
         let id = self.next_id;
         self.entries.insert(
             id,
@@ -1650,6 +1670,60 @@ mod tests {
             cache.lookup(&CanonicalInstance::of(&first_cold)).is_none(),
             "LRU victim must have been evicted"
         );
+    }
+
+    /// A feature cache with explicit entry and job limits.
+    fn limited_cache(cap: usize, job_budget: usize) -> SharedFeatureCache {
+        SharedFeatureCache {
+            inner: Arc::new(Mutex::new(FeatureCache::with_limits(cap, job_budget))),
+        }
+    }
+
+    fn cache_instance(cache: &SharedFeatureCache, inst: &Instance) -> CanonicalInstance {
+        let canon = CanonicalInstance::of(inst);
+        cache.insert(canon.clone(), InstanceFeatures::detect(inst));
+        canon
+    }
+
+    #[test]
+    fn job_budget_evicts_least_recent_entries() {
+        // room for 8 entries but only 6 jobs: three 2-job instances fill
+        // it, and a 3-job one must evict the two least recently used
+        let cache = limited_cache(8, 6);
+        let pairs: Vec<CanonicalInstance> = (0..3i64)
+            .map(|i| {
+                cache_instance(
+                    &cache,
+                    &Instance::from_pairs([(i, i + 4), (i + 1, i + 5)], 2),
+                )
+            })
+            .collect();
+        assert!(cache.lookup(&pairs[0]).is_some());
+        let triple = Instance::from_pairs([(20, 24), (21, 25), (22, 26)], 2);
+        let triple = cache_instance(&cache, &triple);
+        assert!(cache.lookup(&triple).is_some());
+        assert!(
+            cache.lookup(&pairs[0]).is_some(),
+            "recently used entry survives"
+        );
+        assert!(cache.lookup(&pairs[1]).is_none());
+        assert!(cache.lookup(&pairs[2]).is_none());
+        let inner = lock_ignoring_poison(&cache.inner);
+        assert_eq!((inner.entries.len(), inner.jobs), (2, 5));
+    }
+
+    #[test]
+    fn instance_over_the_job_budget_is_never_stored() {
+        let cache = limited_cache(8, 2);
+        let small = cache_instance(&cache, &Instance::from_pairs([(0, 4)], 2));
+        let big = Instance::from_pairs([(0, 4), (1, 5), (2, 6)], 2);
+        let big = cache_instance(&cache, &big);
+        assert!(cache.lookup(&big).is_none());
+        assert!(
+            cache.lookup(&small).is_some(),
+            "nothing evicted for a refusal"
+        );
+        assert_eq!(lock_ignoring_poison(&cache.inner).jobs, 1);
     }
 
     #[test]
