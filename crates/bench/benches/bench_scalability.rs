@@ -11,7 +11,7 @@ use busytime_instances::{Family, GeneratorSpec};
 use busytime_lab::{experiments, Scale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-/// Job counts of the sparse-horizon FirstFit curve (10k to 160k).
+/// Job counts of the sparse-horizon curves (10k to 160k).
 const SPARSE_SIZES: [usize; 3] = [10_000, 40_000, 160_000];
 
 fn bench(c: &mut Criterion) {
@@ -44,6 +44,28 @@ fn bench(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
             b.iter(|| FirstFit::paper().schedule(black_box(inst)).unwrap())
+        });
+    }
+    group.finish();
+
+    // accounting for a finished schedule: `cost` plus `validate` of
+    // FirstFit's schedule on the `bounded` spec, whose machines each hold
+    // thousands of busy pieces over the 2n horizon. `scripts/slope_gate.py`
+    // gates this group's slope too.
+    let mut group = c.benchmark_group("scalability/schedule_accounting");
+    for &n in &SPARSE_SIZES {
+        let inst = GeneratorSpec {
+            n,
+            ..GeneratorSpec::new(Family::Bounded)
+        }
+        .generate();
+        let sched = FirstFit::paper().schedule(&inst).unwrap();
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
+            b.iter(|| {
+                let sched = black_box(&sched);
+                (sched.cost(inst), sched.validate(inst))
+            })
         });
     }
     group.finish();

@@ -38,6 +38,7 @@ use std::borrow::Cow;
 use crate::cancel::CancelToken;
 use crate::instance::Instance;
 use crate::schedule::Schedule;
+use crate::solve::InstanceFeatures;
 
 /// Why a scheduler declined an instance.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -125,6 +126,20 @@ pub trait Scheduler {
     fn schedule(&self, inst: &Instance) -> Result<Schedule, SchedulerError> {
         self.schedule_with(inst, &CancelToken::never())
     }
+
+    /// [`Scheduler::schedule_with`] for a caller that has already run
+    /// [`InstanceFeatures::detect`] on `inst` (or on an equal instance):
+    /// a scheduler that dispatches on structure, like
+    /// [`crate::solve::Auto`], decides from `features` instead of
+    /// detecting them again. Everyone else ignores them.
+    fn schedule_with_features(
+        &self,
+        inst: &Instance,
+        _features: &InstanceFeatures,
+        cancel: &CancelToken,
+    ) -> Result<Schedule, SchedulerError> {
+        self.schedule_with(inst, cancel)
+    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for &S {
@@ -141,6 +156,14 @@ impl<S: Scheduler + ?Sized> Scheduler for &S {
     fn schedule(&self, inst: &Instance) -> Result<Schedule, SchedulerError> {
         (**self).schedule(inst)
     }
+    fn schedule_with_features(
+        &self,
+        inst: &Instance,
+        features: &InstanceFeatures,
+        cancel: &CancelToken,
+    ) -> Result<Schedule, SchedulerError> {
+        (**self).schedule_with_features(inst, features, cancel)
+    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
@@ -156,6 +179,14 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     }
     fn schedule(&self, inst: &Instance) -> Result<Schedule, SchedulerError> {
         (**self).schedule(inst)
+    }
+    fn schedule_with_features(
+        &self,
+        inst: &Instance,
+        features: &InstanceFeatures,
+        cancel: &CancelToken,
+    ) -> Result<Schedule, SchedulerError> {
+        (**self).schedule_with_features(inst, features, cancel)
     }
 }
 

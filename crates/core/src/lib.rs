@@ -78,5 +78,5 @@ pub use cancel::CancelToken;
 pub use instance::{Instance, JobId};
 pub use machine::MachineLoad;
 pub use memo::{CachePolicy, CanonicalInstance, SolutionCache, SolveFingerprint, WarmStart};
-pub use schedule::{MachineId, Schedule, ScheduleViolation};
+pub use schedule::{MachineId, MachineIntervals, Schedule, ScheduleViolation};
 pub use solve::{Auto, InstanceFeatures, SolveError, SolveReport, SolveRequest, SolverRegistry};

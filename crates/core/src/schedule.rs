@@ -100,6 +100,18 @@ impl Schedule {
         }
     }
 
+    /// Builds a schedule from its parts as given: no compaction, so a job
+    /// may name a machine outside `0..machine_count` and a machine may have
+    /// no jobs. [`Schedule::validate`] reports both; the cost accessors
+    /// panic on an out-of-range id. For assignments that arrive from
+    /// outside a scheduler and must be checked before use.
+    pub fn from_raw_parts(assignment: Vec<MachineId>, machine_count: usize) -> Self {
+        Schedule {
+            assignment,
+            machine_count,
+        }
+    }
+
     /// The machine of each job.
     pub fn assignment(&self) -> &[MachineId] {
         &self.assignment
@@ -124,13 +136,25 @@ impl Schedule {
         groups
     }
 
+    /// Every job's interval grouped by machine, each machine's sorted by
+    /// start: the bucketing [`Schedule::cost`], [`Schedule::validate`],
+    /// [`Schedule::hull_cost`] and [`Schedule::machine_busy_sets`] read.
+    /// Build it once to ask several of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job names a machine outside `0..machine_count`, or the
+    /// assignment covers more jobs than `inst` has.
+    pub fn machine_intervals(&self, inst: &Instance) -> MachineIntervals {
+        MachineIntervals::new(self, inst)
+    }
+
     /// Busy set (union of job intervals) of each machine.
     pub fn machine_busy_sets(&self, inst: &Instance) -> Vec<IntervalSet> {
-        let mut sets = vec![IntervalSet::new(); self.machine_count];
-        for (job, &m) in self.assignment.iter().enumerate() {
-            sets[m].insert(inst.job(job));
-        }
-        sets
+        let buckets = self.machine_intervals(inst);
+        (0..self.machine_count)
+            .map(|m| IntervalSet::from_intervals(buckets.machine(m).iter().copied()))
+            .collect()
     }
 
     /// Busy time of one machine: `span(J_i)`.
@@ -155,20 +179,20 @@ impl Schedule {
     /// assert_eq!(sched.cost(&inst), 8);
     /// ```
     pub fn cost(&self, inst: &Instance) -> i64 {
-        self.machine_busy_sets(inst)
-            .iter()
-            .map(|s| s.measure())
-            .sum()
+        self.machine_intervals(inst).cost()
     }
 
     /// Total *hull* cost `Σ_i (max c − min s)`: what the schedule would cost
     /// if machines could not idle inside their busy interval. Diagnostic —
     /// equals [`Schedule::cost`] after [`Schedule::normalize_contiguous`].
     pub fn hull_cost(&self, inst: &Instance) -> i64 {
-        self.machine_busy_sets(inst)
-            .iter()
-            .filter_map(|s| s.hull())
-            .map(|h| h.len())
+        let buckets = self.machine_intervals(inst);
+        (0..self.machine_count)
+            .filter_map(|m| {
+                let jobs = buckets.machine(m);
+                let end = jobs.iter().map(|iv| iv.end).max()?;
+                Some(end - jobs[0].start)
+            })
             .sum()
     }
 
@@ -195,6 +219,28 @@ impl Schedule {
     /// Checks that the schedule is feasible for `inst`: complete assignment,
     /// dense machine ids, and no machine ever exceeding parallelism `g`.
     pub fn validate(&self, inst: &Instance) -> Result<(), ScheduleViolation> {
+        self.check_assignment(inst)?;
+        self.machine_intervals(inst).check_machines(inst.g())
+    }
+
+    /// [`Schedule::validate`] reading `buckets`, this schedule's
+    /// [`Schedule::machine_intervals`] over `inst`, instead of building
+    /// its own: the same checks in the same order, with the same
+    /// violations.
+    pub fn validate_bucketed(
+        &self,
+        inst: &Instance,
+        buckets: &MachineIntervals,
+    ) -> Result<(), ScheduleViolation> {
+        debug_assert_eq!(buckets.intervals.len(), self.assignment.len());
+        debug_assert_eq!(buckets.machine_count(), self.machine_count);
+        self.check_assignment(inst)?;
+        buckets.check_machines(inst.g())
+    }
+
+    /// The checks that need no bucketing: one entry per job, and every
+    /// machine id in range.
+    fn check_assignment(&self, inst: &Instance) -> Result<(), ScheduleViolation> {
         if self.assignment.len() != inst.len() {
             return Err(ScheduleViolation::WrongJobCount {
                 got: self.assignment.len(),
@@ -206,22 +252,125 @@ impl Schedule {
                 return Err(ScheduleViolation::MachineOutOfRange { job, machine: m });
             }
         }
-        for (machine, jobs) in self.machine_jobs().into_iter().enumerate() {
+        Ok(())
+    }
+}
+
+/// The jobs of a [`Schedule`] bucketed by machine: one counting sort of
+/// the assignment into per-machine ranges of a single interval buffer,
+/// then one sort of each range by start. Every question about a machine's
+/// busy set becomes a linear sweep over its range, so accounting for a
+/// schedule costs `O(n log n)` however fragmented its machines are.
+#[derive(Clone, Debug)]
+pub struct MachineIntervals {
+    /// Machine `m`'s intervals are `intervals[offsets[m]..offsets[m + 1]]`.
+    offsets: Vec<usize>,
+    intervals: Vec<Interval>,
+}
+
+impl MachineIntervals {
+    fn new(schedule: &Schedule, inst: &Instance) -> Self {
+        let machines = schedule.machine_count;
+        let mut offsets = vec![0usize; machines + 1];
+        for &m in &schedule.assignment {
+            offsets[m + 1] += 1;
+        }
+        for m in 0..machines {
+            offsets[m + 1] += offsets[m];
+        }
+        let mut next = offsets[..machines].to_vec();
+        let mut intervals = vec![Interval { start: 0, end: 0 }; schedule.assignment.len()];
+        for (job, &m) in schedule.assignment.iter().enumerate() {
+            intervals[next[m]] = inst.job(job);
+            next[m] += 1;
+        }
+        for m in 0..machines {
+            intervals[offsets[m]..offsets[m + 1]].sort_unstable();
+        }
+        MachineIntervals { offsets, intervals }
+    }
+
+    /// Number of machines.
+    pub(crate) fn machine_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The intervals of `machine`'s jobs, sorted by `(start, end)`.
+    pub(crate) fn machine(&self, machine: MachineId) -> &[Interval] {
+        &self.intervals[self.offsets[machine]..self.offsets[machine + 1]]
+    }
+
+    /// Total busy time `Σ_i span(J_i)`: one merge sweep per machine.
+    pub fn cost(&self) -> i64 {
+        (0..self.machine_count())
+            .map(|m| sorted_span(self.machine(m)))
+            .sum()
+    }
+
+    /// The first machine, in id order, that has no jobs or runs more than
+    /// `g` of them at once.
+    fn check_machines(&self, g: u32) -> Result<(), ScheduleViolation> {
+        let mut ends: Vec<i64> = Vec::new();
+        for machine in 0..self.machine_count() {
+            let jobs = self.machine(machine);
             if jobs.is_empty() {
                 return Err(ScheduleViolation::EmptyMachine { machine });
             }
-            let intervals: Vec<Interval> = jobs.iter().map(|&j| inst.job(j)).collect();
-            let overlap = sweep::max_overlap(&intervals);
-            if overlap > inst.g() as usize {
+            // at most g jobs cannot overload the machine: skip the sort
+            if jobs.len() <= g as usize {
+                continue;
+            }
+            let overlap = sorted_max_overlap(jobs, &mut ends);
+            if overlap > g as usize {
                 return Err(ScheduleViolation::CapacityExceeded {
                     machine,
                     overlap,
-                    g: inst.g(),
+                    g,
                 });
             }
         }
         Ok(())
     }
+}
+
+/// `span` of intervals sorted by start: the measure of their union.
+/// Touching intervals merge, as in [`IntervalSet`]; it measures the same.
+fn sorted_span(jobs: &[Interval]) -> i64 {
+    let Some((first, rest)) = jobs.split_first() else {
+        return 0;
+    };
+    let (mut start, mut end) = (first.start, first.end);
+    let mut total = 0;
+    for iv in rest {
+        if iv.start > end {
+            total += end - start;
+            (start, end) = (iv.start, iv.end);
+        } else {
+            end = end.max(iv.end);
+        }
+    }
+    total + end - start
+}
+
+/// [`sweep::max_overlap`] of intervals sorted by start, with `ends` as
+/// scratch. Closed intervals: the most active at once is reached at some
+/// start `s`, where every earlier-starting interval is active unless it
+/// ended before `s`.
+fn sorted_max_overlap(jobs: &[Interval], ends: &mut Vec<i64>) -> usize {
+    ends.clear();
+    ends.extend(jobs.iter().map(|iv| iv.end));
+    ends.sort_unstable();
+    // an interval ending before `jobs[i].start` started before it, so
+    // `ended <= i` throughout
+    let mut ended = 0;
+    let mut best = 0;
+    for (i, iv) in jobs.iter().enumerate() {
+        while ends[ended] < iv.start {
+            ended += 1;
+        }
+        best = best.max(i + 1 - ended);
+    }
+    best
 }
 
 #[cfg(test)]

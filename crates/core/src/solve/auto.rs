@@ -150,7 +150,18 @@ impl Scheduler for Auto {
         inst: &Instance,
         cancel: &CancelToken,
     ) -> Result<Schedule, SchedulerError> {
-        self.race(inst, cancel).map(|(sched, _)| sched)
+        self.schedule_with_features(inst, &InstanceFeatures::detect(inst), cancel)
+    }
+
+    /// The same race, dispatched on the caller's `features` instead of a
+    /// fresh detection.
+    fn schedule_with_features(
+        &self,
+        inst: &Instance,
+        features: &InstanceFeatures,
+        cancel: &CancelToken,
+    ) -> Result<Schedule, SchedulerError> {
+        self.race(inst, features, cancel).map(|(sched, _)| sched)
     }
 }
 
@@ -161,10 +172,10 @@ impl Auto {
     fn race(
         &self,
         inst: &Instance,
+        features: &InstanceFeatures,
         cancel: &CancelToken,
     ) -> Result<(Schedule, bool), SchedulerError> {
-        let features = InstanceFeatures::detect(inst);
-        let choice = self.decide(&features);
+        let choice = self.decide(features);
         let Some(specialist) = self.specialist(choice) else {
             return Ok((FirstFit::paper().schedule_with(inst, cancel)?, false));
         };
@@ -270,12 +281,19 @@ mod tests {
         }
     }
 
+    /// The default portfolio's race on `inst`, uncut.
+    fn race(inst: &Instance) -> (Schedule, bool) {
+        Auto::new()
+            .race(inst, &InstanceFeatures::detect(inst), &CancelToken::never())
+            .unwrap()
+    }
+
     #[test]
     fn optimal_specialist_short_circuits_the_fallback_arm() {
         // 4 identical jobs, g = 2: the clique specialist hits the δ-bound
         // exactly (cost 20 = lower bound), so the FirstFit arm is cancelled
         let inst = Instance::from_pairs([(0, 10); 4], 2);
-        let (sched, skipped) = Auto::new().race(&inst, &CancelToken::never()).unwrap();
+        let (sched, skipped) = race(&inst);
         assert!(skipped, "provably optimal specialist must cancel the race");
         assert_eq!(sched.cost(&inst), 20);
     }
@@ -285,7 +303,7 @@ mod tests {
         // no specialist certificate here: bounded-length dispatch with a
         // strictly positive gap keeps the fallback arm alive
         let inst = Instance::from_pairs([(0, 2), (1, 2), (100, 101)], 2);
-        let (sched, skipped) = Auto::new().race(&inst, &CancelToken::never()).unwrap();
+        let (sched, skipped) = race(&inst);
         sched.validate(&inst).unwrap();
         if sched.cost(&inst) > crate::bounds::best_lower_bound(&inst) {
             assert!(!skipped, "an undecided race must not skip the fallback");

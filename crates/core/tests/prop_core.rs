@@ -5,8 +5,8 @@ use busytime_core::algo::{
     BestFit, BoundedLength, CliqueScheduler, Decomposed, FirstFit, MinMachines, NextFitArrival,
     NextFitProper, RandomFit, Scheduler,
 };
-use busytime_core::{bounds, verify, Instance};
-use busytime_interval::{sweep, Interval};
+use busytime_core::{bounds, verify, Instance, Schedule, ScheduleViolation};
+use busytime_interval::{sweep, Interval, IntervalSet};
 use proptest::prelude::*;
 
 fn arb_instance(max_n: usize) -> impl Strategy<Value = Instance> {
@@ -320,6 +320,101 @@ proptest! {
     }
 }
 
+/// Busy sets by inserting every job, in job order, into its machine's
+/// [`IntervalSet`]: the reference for the bucketed accounting.
+fn reference_busy_sets(sched: &Schedule, inst: &Instance) -> Vec<IntervalSet> {
+    let mut sets = vec![IntervalSet::new(); sched.machine_count()];
+    for (job, &m) in sched.assignment().iter().enumerate() {
+        sets[m].insert(inst.job(job));
+    }
+    sets
+}
+
+/// Validation as job lists per machine and one event sweep each, with the
+/// bucketed check's order: job count, machine ids, then machines in id
+/// order.
+fn reference_validate(sched: &Schedule, inst: &Instance) -> Result<(), ScheduleViolation> {
+    if sched.assignment().len() != inst.len() {
+        return Err(ScheduleViolation::WrongJobCount {
+            got: sched.assignment().len(),
+            expected: inst.len(),
+        });
+    }
+    for (job, &m) in sched.assignment().iter().enumerate() {
+        if m >= sched.machine_count() {
+            return Err(ScheduleViolation::MachineOutOfRange { job, machine: m });
+        }
+    }
+    for (machine, jobs) in sched.machine_jobs().into_iter().enumerate() {
+        if jobs.is_empty() {
+            return Err(ScheduleViolation::EmptyMachine { machine });
+        }
+        let intervals: Vec<Interval> = jobs.iter().map(|&j| inst.job(j)).collect();
+        let overlap = sweep::max_overlap(&intervals);
+        if overlap > inst.g() as usize {
+            return Err(ScheduleViolation::CapacityExceeded {
+                machine,
+                overlap,
+                g: inst.g(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// A random instance with an unchecked assignment: random machine ids
+/// (machines left without jobs are empty), or one of them pushed out of
+/// range, or the last job unassigned, or FirstFit's feasible schedule.
+/// Random ids at small `g` overload machines often.
+fn arb_raw_schedule() -> impl Strategy<Value = (Instance, Schedule)> {
+    (
+        arb_instance(40),
+        1usize..8,
+        proptest::collection::vec(0usize..1_000, 40),
+        0u8..6,
+    )
+        .prop_map(|(inst, machines, picks, mode)| {
+            let n = inst.len();
+            let mut assignment: Vec<usize> = picks[..n].iter().map(|&p| p % machines).collect();
+            match mode {
+                0 => assignment[picks[0] % n] = machines + picks[1] % 3,
+                1 => {
+                    assignment.pop();
+                }
+                2 => {
+                    let sched = FirstFit::paper().schedule(&inst).unwrap();
+                    return (inst, sched);
+                }
+                _ => {}
+            }
+            (inst, Schedule::from_raw_parts(assignment, machines))
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The bucketed accounting agrees with the per-machine reference on
+    /// every schedule, feasible or not: `validate` names the identical
+    /// violation, and wherever the ids are in range, `cost`,
+    /// `machine_busy_sets` and `hull_cost` match the inserted busy sets.
+    #[test]
+    fn bucketed_accounting_matches_reference((inst, sched) in arb_raw_schedule()) {
+        prop_assert_eq!(sched.validate(&inst), reference_validate(&sched, &inst));
+        if sched.assignment().iter().all(|&m| m < sched.machine_count()) {
+            let buckets = sched.machine_intervals(&inst);
+            prop_assert_eq!(sched.validate_bucketed(&inst, &buckets), reference_validate(&sched, &inst));
+            let sets = reference_busy_sets(&sched, &inst);
+            let cost: i64 = sets.iter().map(IntervalSet::measure).sum();
+            prop_assert_eq!(sched.cost(&inst), cost);
+            prop_assert_eq!(buckets.cost(), cost);
+            prop_assert_eq!(&sched.machine_busy_sets(&inst), &sets);
+            let hull: i64 = sets.iter().filter_map(IntervalSet::hull).map(|h| h.len()).sum();
+            prop_assert_eq!(sched.hull_cost(&inst), hull);
+        }
+    }
+}
+
 /// Renders a report with its wall-clock-only fields (phase timings, total)
 /// cleared: everything left is required to be deterministic, so parallel
 /// and sequential solves must agree on it byte for byte.
@@ -365,6 +460,21 @@ proptest! {
             );
             prop_assert_eq!(&forked, &sequential, "width {} diverged", width);
         }
+
+        // on a connected instance decomposition has nothing to split: the
+        // pipeline solves it undecomposed either way, to the same report
+        let (connected, _) = inst.components().swap_remove(0);
+        let report = |decompose: bool| {
+            timeless_json(
+                SolveRequest::new(&connected)
+                    .seed(seed)
+                    .decompose(decompose)
+                    .parallel(ParallelPolicy::Off)
+                    .solve()
+                    .unwrap(),
+            )
+        };
+        prop_assert_eq!(report(true), report(false));
     }
 
     /// An already-expired deadline cuts the solve at its first cooperative

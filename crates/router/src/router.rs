@@ -42,12 +42,11 @@ use std::time::{Duration, Instant};
 
 use busytime_core::cancel::CancelToken;
 use busytime_core::solve::REPORT_SCHEMA_VERSION;
-use busytime_instances::json::{self, Value};
 use busytime_server::http::{
     read_http_body, read_http_head, write_http_response, HttpError, MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
 use busytime_server::protocol::error_line;
-use busytime_server::{reline_output, BatchSummary, ListenMode};
+use busytime_server::{reline_output, BatchRecord, BatchSummary, ListenMode};
 use polling::{Event, Interest, Poller, RawFd};
 
 use crate::shard::{connect, lock, pick, ShardState};
@@ -1305,7 +1304,9 @@ fn route_session<R: BufRead, W: Write + Send>(
                     return;
                 }
                 let seq = seq_meta.len();
-                let id = extract_id(text);
+                // best effort, for router-side error lines only; shards
+                // do their own parsing
+                let id = BatchRecord::salvage_id(text);
                 seq_meta.push((orig_line, id.clone()));
                 stats.records += 1;
                 let pending = Pending {
@@ -1424,22 +1425,6 @@ fn route_session<R: BufRead, W: Write + Send>(
         }
     }
     stats
-}
-
-/// Pulls the record id out of a raw request line, if it parses at all —
-/// best-effort, for router-side error lines only; shards do their own
-/// parsing.
-fn extract_id(text: &str) -> Option<String> {
-    match json::parse(text) {
-        Ok(Value::Object(fields)) => fields.iter().find_map(|(k, v)| {
-            if k == "id" {
-                v.as_str().map(str::to_string)
-            } else {
-                None
-            }
-        }),
-        _ => None,
-    }
 }
 
 /// Re-dispatches everything reclaimed from dead shards so far.
@@ -1803,13 +1788,13 @@ mod tests {
     #[test]
     fn extract_id_is_best_effort() {
         assert_eq!(
-            extract_id(r#"{"id": "abc", "instance": {"g": 1, "jobs": []}}"#),
+            BatchRecord::salvage_id(r#"{"id": "abc", "instance": {"g": 1, "jobs": []}}"#),
             Some("abc".to_string())
         );
-        assert_eq!(extract_id(r#"{"instance": {}}"#), None);
-        assert_eq!(extract_id("not json"), None);
+        assert_eq!(BatchRecord::salvage_id(r#"{"instance": {}}"#), None);
+        assert_eq!(BatchRecord::salvage_id("not json"), None);
         assert_eq!(
-            extract_id(r#"{"id": 7}"#),
+            BatchRecord::salvage_id(r#"{"id": 7}"#),
             None,
             "non-string ids are ignored"
         );

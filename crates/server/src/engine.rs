@@ -845,9 +845,11 @@ pub(crate) fn solve_prepared(item: &SolveItem, ctx: &SessionContext) -> RecordRe
 }
 
 /// Settles an unparseable line in input order: the error line to stream,
-/// or the [`ServeError::FailFast`] abort under that policy.
+/// or the [`ServeError::FailFast`] abort under that policy. `id` is what
+/// [`BatchRecord::salvage_id`] recovered from the line.
 pub(crate) fn settle_bad(
     line: usize,
+    id: Option<&str>,
     message: &str,
     policy: ErrorPolicy,
     stats: &mut SessionStats,
@@ -855,12 +857,12 @@ pub(crate) fn settle_bad(
     if policy == ErrorPolicy::FailFast {
         return Err(ServeError::FailFast {
             line,
-            id: None,
+            id: id.map(str::to_string),
             message: message.to_string(),
         });
     }
     stats.errors += 1;
-    Ok(error_line(line, None, message))
+    Ok(error_line(line, id, message))
 }
 
 /// Settles a record answered from the solution cache before dispatch:

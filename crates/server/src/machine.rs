@@ -312,7 +312,13 @@ impl SessionMachine {
             let answer = slot.answer.expect("front checked answered");
             let policy = self.ctx.config.error_policy;
             let settled = match *answer {
-                Answer::Bad(message) => settle_bad(slot.line, &message, policy, &mut self.stats),
+                Answer::Bad(message) => settle_bad(
+                    slot.line,
+                    slot.id.as_deref(),
+                    &message,
+                    policy,
+                    &mut self.stats,
+                ),
                 Answer::Hit(report) => Ok(settle_hit(
                     slot.line,
                     slot.id.as_deref(),
@@ -394,8 +400,12 @@ impl SessionMachine {
                 continue;
             }
             let parsed = std::str::from_utf8(bytes)
-                .map_err(|e| format!("line is not valid UTF-8: {e}"))
-                .and_then(|line| BatchRecord::parse(line.trim()).map_err(|e| e.to_string()));
+                .map_err(|e| (None, format!("line is not valid UTF-8: {e}")))
+                .and_then(|line| {
+                    let line = line.trim();
+                    BatchRecord::parse(line)
+                        .map_err(|e| (BatchRecord::salvage_id(line), e.to_string()))
+                });
             let seq = self.next_seq;
             let mut abort = false;
             let (id, answer) = match parsed {
@@ -416,11 +426,11 @@ impl SessionMachine {
                         }
                     }
                 }
-                Err(message) => {
+                Err((id, message)) => {
                     // no point parsing past the abort point; records
                     // before it still stream
                     abort = self.ctx.config.error_policy == ErrorPolicy::FailFast;
-                    (None, Some(Box::new(Answer::Bad(message))))
+                    (id, Some(Box::new(Answer::Bad(message))))
                 }
             };
             self.stats.records += 1;

@@ -41,7 +41,8 @@
 //!
 //! Exactly one line per input line, in input order. Every line carries the
 //! stable `schema_version` stamp, the 1-based input `line`, the echoed
-//! `id` (or `null`), and `ok`:
+//! `id` (or `null`), and `ok`. An error line echoes the `id` too whenever
+//! the rejected line is JSON with a string `id`:
 //!
 //! ```json
 //! {"schema_version": 1, "line": 1, "id": "a", "ok": true, "report": {…}}
@@ -333,6 +334,17 @@ impl BatchRecord {
             cache,
             parallel,
         })
+    }
+
+    /// The `id` of a line [`BatchRecord::parse`] rejects, so its error
+    /// line still answers to the caller: the line's string `id` whenever
+    /// the line is JSON at all, whatever else is wrong with it.
+    pub fn salvage_id(line: &str) -> Option<String> {
+        json::parse(line)
+            .ok()?
+            .get("id")?
+            .as_str()
+            .map(str::to_string)
     }
 
     /// Materializes the record's instance (generates when described by

@@ -6,7 +6,8 @@ use busytime_core::pool::Executor;
 use busytime_core::solve::SolverRegistry;
 use busytime_instances::json;
 use busytime_server::{
-    parse_output_line, serve, BatchSession, BatchSummary, ErrorPolicy, OutputLine, ServeConfig,
+    parse_output_line, serve, BatchRecord, BatchSession, BatchSummary, ErrorPolicy, OutputLine,
+    ServeConfig,
 };
 
 fn run(input: &str, config: &ServeConfig) -> (Vec<String>, BatchSummary) {
@@ -103,6 +104,47 @@ fn malformed_line_yields_structured_error_record() {
             assert!(error.contains("start after end"), "{error}");
         }
         other => panic!("expected an error line, got {other:?}"),
+    }
+}
+
+/// Every line that is JSON with a string `id` keeps that id on its error
+/// line, whatever made the record invalid; the message is the owned
+/// parser's, which the fast path declines to second-guess.
+#[test]
+fn error_lines_keep_the_callers_id() {
+    let table = [
+        (
+            "zero-g",
+            r#"{"id": "zero-g", "instance": {"g": 0, "jobs": [[0, 3]]}}"#,
+        ),
+        ("no-input", r#"{"id": "no-input", "solver": "auto"}"#),
+        (
+            "bad-parallel",
+            r#"{"id": "bad-parallel", "instance": {"g": 2, "jobs": [[0, 3]]}, "parallel": "sometimes"}"#,
+        ),
+        (
+            "negative-deadline",
+            r#"{"id": "negative-deadline", "instance": {"g": 2, "jobs": [[0, 3]]}, "deadline_ms": -3}"#,
+        ),
+        (
+            "unknown-family",
+            r#"{"id": "unknown-family", "generator": {"family": "martian", "n": 10}}"#,
+        ),
+    ];
+    let input: String = table.iter().map(|(_, line)| format!("{line}\n")).collect();
+    let (lines, summary) = run(&input, &ServeConfig::default());
+    assert_eq!(lines.len(), table.len());
+    assert_eq!(summary.errors, table.len());
+    for ((want_id, request), response) in table.iter().zip(&lines) {
+        assert!(BatchRecord::parse_fast(request).is_none(), "{want_id}");
+        let owned = BatchRecord::parse_owned(request).unwrap_err().to_string();
+        match parse_output_line(response).unwrap() {
+            OutputLine::Error { id, error, .. } => {
+                assert_eq!(id.as_deref(), Some(*want_id), "{response}");
+                assert_eq!(error, owned, "{want_id}");
+            }
+            other => panic!("{want_id}: expected an error line, got {other:?}"),
+        }
     }
 }
 
