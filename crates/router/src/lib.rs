@@ -18,14 +18,19 @@
 //!   (probe-quorum demotion, instant demotion on broken pipes, revival
 //!   on a successful probe or a spawn-mode restart) and the load score
 //!   [`pick`] balances on.
-//! * [`router`] — [`Router`]: the accept loop, the background prober,
-//!   and the per-connection routed session: per-record fan-out (or
-//!   whole-connection pinning with [`RouteConfig::sticky`]), an in-order
-//!   fan-in reorder buffer, orphan retry when a shard dies mid-batch,
-//!   and the merged summary trailer.
+//! * [`router`] — [`Router`]: the router's backend on the listener's
+//!   connection core ([`busytime_server::reactor`]), the background
+//!   prober, and one non-blocking routed session per client batch:
+//!   per-record fan-out (or whole-connection pinning with
+//!   [`RouteConfig::sticky`]) over shard streams registered on the
+//!   client's reactor, an in-order fan-in reorder buffer, orphan retry
+//!   when a shard dies mid-batch or turns a stream away at capacity,
+//!   and the merged summary trailer. Shard dials run on a small
+//!   dedicated executor; no thread is spawned per connection or stream.
 //! * [`spawn`] — [`ShardFleet`]: `--spawn N` mode, where the router
 //!   launches and supervises local shard children (banner-based address
-//!   discovery, restart with backoff, whole-tree SIGINT drain).
+//!   discovery, restart with backoff, whole-tree SIGINT drain), each
+//!   admitting [`RouteConfig::shard_max_conns`] connections.
 //!
 //! The CLI front-end is `busytime-cli route`:
 //!

@@ -1,8 +1,8 @@
 //! End-to-end coverage of the shard router over in-process listeners:
 //! in-order fan-in across skewed shards, the additive-capacity speedup,
 //! shard death mid-batch (retry on the survivor, no drops, no
-//! duplicates), all-shards-down degradation, sticky pinning, and the
-//! sniffed fleet health endpoint.
+//! duplicates), all-shards-down degradation, sticky pinning, the
+//! sniffed fleet health endpoint, a shard at capacity, and the HTTP mode.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -17,6 +17,7 @@ use busytime_core::pool::Executor;
 use busytime_core::solve::SolverRegistry;
 use busytime_core::{Instance, Schedule};
 use busytime_router::{RouteConfig, RouteReport, Router, ShardState};
+use busytime_server::http::{read_http_response, HttpResponse};
 use busytime_server::{
     parse_output_line, ConnLog, ListenConfig, ListenMode, ListenReport, Listener, OutputLine,
 };
@@ -82,7 +83,6 @@ struct Shard {
 fn start_shard(nap: Duration, workers: usize, shard_id: &str) -> Shard {
     let config = ListenConfig {
         log: ConnLog::Quiet,
-        read_timeout: Duration::from_millis(30),
         shard_id: Some(shard_id.to_string()),
         ..ListenConfig::default()
     };
@@ -117,7 +117,6 @@ struct Front {
 fn quiet_route_config() -> RouteConfig {
     RouteConfig {
         quiet: true,
-        read_timeout: Duration::from_millis(30),
         probe_interval: Duration::from_millis(100),
         ..RouteConfig::default()
     }
@@ -493,6 +492,191 @@ fn health_probe_on_the_ndjson_endpoint_reports_the_fleet() {
     let report = front.stop();
     assert_eq!(report.health_probes, 1, "a probe is not a connection");
     assert_eq!(report.connections, 0);
+    a.stop();
+    b.stop();
+}
+
+/// A shard like [`start_shard`] that admits at most `max_conns`
+/// connections at once and turns the rest away with a `line: 0` error.
+fn start_capped_shard(nap: Duration, max_conns: usize, shard_id: &str) -> Shard {
+    let config = ListenConfig {
+        log: ConnLog::Quiet,
+        max_conns,
+        shard_id: Some(shard_id.to_string()),
+        ..ListenConfig::default()
+    };
+    let mode = ListenMode::Tcp("127.0.0.1:0".to_string());
+    let listener = Listener::bind(&mode, Arc::new(nap_registry(nap)), config)
+        .unwrap()
+        .executor(Executor::new(1));
+    let addr = listener.local_addr().unwrap();
+    let shutdown = listener.shutdown_token();
+    let handle = std::thread::spawn(move || listener.run());
+    Shard {
+        addr,
+        shutdown,
+        handle,
+    }
+}
+
+#[test]
+fn a_shard_at_capacity_never_answers_for_a_record() {
+    // shard 0 admits two connections; six batches held open at once each
+    // want a stream to it. Its at-capacity rejection (`line: 0`) must send
+    // the record to the roomy shard, never reach a client as the record's
+    // answer, and must not count the shard as broken
+    let tight = start_capped_shard(Duration::from_millis(5), 2, "tight");
+    let roomy = start_shard(Duration::from_millis(5), 1, "roomy");
+    let shards = vec![
+        ShardState::new(0, tight.addr.to_string()),
+        ShardState::new(1, roomy.addr.to_string()),
+    ];
+    let front = start_router(shards, quiet_route_config());
+
+    let batches: Vec<Vec<String>> = (0..6)
+        .map(|c| (0..2).map(|r| format!("cap-{c}-{r}")).collect())
+        .collect();
+    let mut clients: Vec<Client> = batches
+        .iter()
+        .map(|ids| {
+            let mut client = Client::connect(front.addr);
+            for (r, id) in ids.iter().enumerate() {
+                client.send(&shifted_record(id, 10 * r as i64));
+            }
+            client
+        })
+        .collect();
+    // every batch stays open until all of them are answered, so their
+    // shard streams overlap
+    let mut answers: Vec<Vec<String>> = Vec::new();
+    for client in &mut clients {
+        let mut lines = Vec::new();
+        for _ in 0..2 {
+            let mut line = String::new();
+            client.reader.read_line(&mut line).unwrap();
+            lines.push(line.trim_end().to_string());
+        }
+        answers.push(lines);
+    }
+    for ((client, mut lines), ids) in clients.iter_mut().zip(answers).zip(&batches) {
+        client.finish();
+        lines.extend(client.read_to_end());
+        answers_own_records(&lines, ids);
+    }
+
+    let report = front.stop();
+    assert_eq!(report.records, 12);
+    assert_eq!(report.failed, 0);
+    assert!(
+        tight.stop().rejected > 0,
+        "the low cap was never exceeded; the test proves nothing"
+    );
+    roomy.stop();
+}
+
+/// Every record of the batch answered `ok` under its own id, in order,
+/// followed by a trailer counting them.
+fn answers_own_records(lines: &[String], ids: &[String]) {
+    let trailer = assert_ordered_batch(lines, ids);
+    for line in &lines[..ids.len()] {
+        assert!(line.contains("\"ok\": true"), "{line}");
+    }
+    assert!(
+        trailer.contains(&format!("\"records\": {}", ids.len())),
+        "{trailer}"
+    );
+}
+
+/// One HTTP request on `stream` (kept alive unless the server closes it)
+/// and its response.
+fn http_exchange(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    request: &str,
+) -> HttpResponse {
+    stream.write_all(request.as_bytes()).unwrap();
+    stream.flush().unwrap();
+    read_http_response(reader).unwrap()
+}
+
+#[test]
+fn http_mode_routes_keep_alive_batches_and_shares_the_listener_status_codes() {
+    let a = start_shard(Duration::from_millis(1), 1, "a");
+    let b = start_shard(Duration::from_millis(1), 1, "b");
+    let shards = vec![
+        ShardState::new(0, a.addr.to_string()),
+        ShardState::new(1, b.addr.to_string()),
+    ];
+    let mode = ListenMode::Http("127.0.0.1:0".to_string());
+    let router = Router::bind(&mode, shards, quiet_route_config()).unwrap();
+    assert!(router.endpoint().starts_with("http://"));
+    let addr = router.local_addr().unwrap();
+    let front = Front {
+        addr,
+        shutdown: router.shutdown_token(),
+        handle: std::thread::spawn(move || router.run()),
+    };
+
+    let connect = || {
+        let stream = TcpStream::connect(front.addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    };
+
+    // two batches on one keep-alive connection, each answered in order
+    // and closed by its own merged trailer
+    let (mut stream, mut reader) = connect();
+    for batch in 0..2 {
+        let ids: Vec<String> = (0..4).map(|r| format!("h-{batch}-{r}")).collect();
+        let body: String = ids
+            .iter()
+            .enumerate()
+            .map(|(r, id)| shifted_record(id, 10 * r as i64) + "\n")
+            .collect();
+        let response = http_exchange(
+            &mut stream,
+            &mut reader,
+            &format!(
+                "POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            ),
+        );
+        assert_eq!(response.status, 200);
+        let text = String::from_utf8(response.body).unwrap();
+        let lines: Vec<String> = text.lines().map(str::to_string).collect();
+        answers_own_records(&lines, &ids);
+    }
+
+    let health = http_exchange(
+        &mut stream,
+        &mut reader,
+        "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+    );
+    assert_eq!(health.status, 200);
+    let body = String::from_utf8(health.body).unwrap();
+    assert!(body.contains("\"role\": \"router\""), "{body}");
+    assert!(body.contains("\"open_connections\": "), "{body}");
+
+    for (request, status) in [
+        ("GET /nowhere HTTP/1.1\r\nHost: x\r\n\r\n", 404),
+        ("GET /solve HTTP/1.1\r\nHost: x\r\n\r\n", 405),
+        (
+            "POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: 999999999999\r\n\r\n",
+            413,
+        ),
+    ] {
+        let (mut stream, mut reader) = connect();
+        let response = http_exchange(&mut stream, &mut reader, request);
+        assert_eq!(response.status, status, "{request:?}");
+    }
+
+    drop((stream, reader));
+    let report = front.stop();
+    assert_eq!(report.records, 8);
+    assert_eq!(report.failed, 0);
     a.stop();
     b.stop();
 }

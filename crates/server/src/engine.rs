@@ -47,6 +47,7 @@ use busytime_instances::json::{self, JsonError, Value};
 
 use crate::machine::{is_blank_line, SessionContext, SessionMachine};
 use crate::protocol::{error_line, report_line, BatchRecord};
+use crate::reactor::Session;
 
 /// What the engine does when a line fails to parse or solve.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -23,19 +23,28 @@
 //!   record pipeline: parse in waves, answer solution-cache hits at once,
 //!   solve the rest on the persistent process-wide
 //!   [`busytime_core::pool::Executor`], stream answers in input order.
+//! * [`reactor`] — the one connection core every socket front end runs
+//!   on: epoll reactor threads hosting one [`reactor::Session`] per
+//!   connection, with accept, the `GET ` health sniff, at-capacity
+//!   rejection, incremental HTTP/1.1 with keep-alive (404/405/411/413 for
+//!   what it does not serve), bounded outboxes with back-pressure, write
+//!   and idle timeouts, a timer wheel and the shutdown drain. A
+//!   [`reactor::Backend`] supplies the session, the `/healthz` body, the
+//!   at-capacity text and the per-connection log line; sessions may
+//!   register sockets of their own on the same poller, which is how
+//!   `busytime-router` runs its shard streams without a thread each.
 //! * [`listener`] — the long-lived socket front-end: NDJSON over TCP or
 //!   Unix-domain sockets plus a minimal HTTP/1.1 `POST /solve` +
-//!   `GET /healthz` mode, served by epoll reactor threads that drive one
-//!   pipeline session per connection, all of them multiplexed onto the
-//!   *one* process-wide executor (so
-//!   `--workers` bounds total solver parallelism no matter how many
-//!   connections are live), the feature cache shared across connections,
-//!   per-connection summary trailer lines, and graceful drain on
-//!   shutdown/idle-timeout.
-//! * [`http`] — the minimal HTTP/1.1 plumbing behind the listener's HTTP
-//!   mode and health endpoint, including the client-side response reader
-//!   and [`http::parse_healthz`] decoder that `busytime-router` uses to
-//!   probe and score backend shards.
+//!   `GET /healthz` mode, the local solve pipeline on the connection
+//!   core: one pipeline session per connection, all of them multiplexed
+//!   onto the *one* process-wide executor (so `--workers` bounds total
+//!   solver parallelism no matter how many connections are live), the
+//!   feature cache shared across connections, per-connection summary
+//!   trailer lines, and graceful drain on shutdown/idle-timeout.
+//! * [`http`] — the minimal HTTP/1.1 plumbing behind the HTTP mode and
+//!   health endpoint, including the client-side response reader and
+//!   [`http::parse_healthz`] decoder that `busytime-router` uses to probe
+//!   and score backend shards.
 //!
 //! The CLI front-ends are `busytime-cli serve` (stdin → stdout),
 //! `busytime-cli batch FILE`, and `busytime-cli listen`
@@ -66,6 +75,7 @@ pub mod http;
 pub mod listener;
 mod machine;
 pub mod protocol;
+pub mod reactor;
 
 pub use engine::{
     serve, BatchSession, BatchSummary, ErrorPolicy, ServeConfig, ServeError, SharedFeatureCache,

@@ -1,6 +1,6 @@
 //! The record pipeline: one resumable batch session that every serving
-//! path drives — the [`crate::listener`] reactor per connection (and so
-//! every `route` shard), and [`crate::engine::BatchSession::run`] for
+//! path drives — the [`crate::reactor`] core per listener connection (and
+//! so every `route` shard), and [`crate::engine::BatchSession::run`] for
 //! stdin `serve`/`batch`.
 //!
 //! [`SessionMachine`] is fed raw request bytes (`feed`), parses them in
@@ -32,6 +32,7 @@ use crate::engine::{
     ServeConfig, ServeError, SessionStats, SharedFeatureCache, SolveItem,
 };
 use crate::protocol::BatchRecord;
+use crate::reactor::Session;
 
 /// Everything a session's records are solved against. A listener shares
 /// one with every connection; a [`crate::engine::BatchSession`] builds
@@ -204,46 +205,10 @@ impl SessionMachine {
         self.chunk_size
     }
 
-    /// Buffers freshly-read request bytes. Call `pump` afterwards to parse
-    /// and dispatch them.
-    pub(crate) fn feed(&mut self, bytes: &[u8]) {
-        self.inbuf.extend_from_slice(bytes);
-    }
-
-    /// Marks the client's end of batch (EOF, half-close, idle cut, or the
-    /// listener's shutdown drain). Buffered complete lines — and a final
-    /// unterminated one — are still parsed and answered.
-    pub(crate) fn finish_input(&mut self) {
-        self.eof = true;
-    }
-
     /// The machine would parse a new wave now, and its input has not
     /// ended: the moment a blocking owner reads the next wave's lines.
     pub(crate) fn wants_input(&self) -> bool {
-        !self.eof && self.can_parse()
-    }
-
-    /// The batch is fully answered: summary ready (or the batch aborted),
-    /// nothing in flight.
-    pub(crate) fn is_done(&self) -> bool {
-        self.summary.is_some() || self.failed.is_some()
-    }
-
-    /// Records dispatched whose answers have not come back yet — the
-    /// signal that an idle wire does not mean an idle session. After an
-    /// abort ([`SessionMachine::halt`]), the solves still running.
-    pub(crate) fn has_inflight(&self) -> bool {
-        self.inflight > 0
-    }
-
-    /// The batch summary, once the session finished cleanly.
-    pub(crate) fn summary(&self) -> Option<&BatchSummary> {
-        self.summary.as_ref()
-    }
-
-    /// Why the batch aborted, when it did ([`ErrorPolicy::FailFast`]).
-    pub(crate) fn failure(&self) -> Option<&ServeError> {
-        self.failed.as_ref()
+        !self.eof && !self.ctx.cancel.is_cancelled() && self.can_parse()
     }
 
     /// The finished batch: its summary, or why it aborted.
@@ -260,26 +225,6 @@ impl SessionMachine {
         if let Some(wave) = &self.wave {
             self.inflight -= wave.close();
         }
-    }
-
-    /// Drives the machine as far as it can go without blocking: drains
-    /// runner completions, emits ready answers (in input order) into
-    /// `out`, parses and dispatches the next wave when the current one is
-    /// complete, and freezes the summary once everything is answered.
-    /// `allow_parse = false` suspends parsing (outbox back-pressure)
-    /// while completions still drain.
-    pub(crate) fn pump(&mut self, out: &mut Vec<u8>, allow_parse: bool) {
-        self.drain_inbox();
-        loop {
-            let mut progressed = self.drain_ready(out);
-            if allow_parse && self.can_parse() {
-                progressed |= self.parse_wave();
-            }
-            if !progressed {
-                break;
-            }
-        }
-        self.maybe_summarize();
     }
 
     /// Moves posted completions into their slots.
@@ -361,20 +306,20 @@ impl SessionMachine {
     /// A new wave may parse once the current one has fully completed
     /// (answered by the runners, not yet drained to the client: its
     /// write-backs have happened, so parse-time lookups see them).
-    /// Parsing also stops at the session token.
     fn can_parse(&self) -> bool {
-        self.failed.is_none()
-            && self.summary.is_none()
-            && self.inflight == 0
-            && !self.ctx.cancel.is_cancelled()
+        self.failed.is_none() && self.summary.is_none() && self.inflight == 0
     }
 
-    /// Consumes the next complete line of `inbuf` (or the final
-    /// unterminated line at EOF) and returns its byte range.
+    /// Consumes the next complete line of `inbuf` (or, after a client
+    /// EOF, the final unterminated one) and returns its byte range. After
+    /// the session token fires only complete lines count: the drain
+    /// answers what was fully received, with tokens born cancelled.
     fn take_line(&mut self) -> Option<std::ops::Range<usize>> {
         let end = match self.inbuf[self.scanned..].iter().position(|&b| b == b'\n') {
             Some(at) => self.scanned + at + 1,
-            None if self.eof && self.head < self.inbuf.len() => self.inbuf.len(),
+            None if self.eof && !self.ctx.cancel.is_cancelled() && self.head < self.inbuf.len() => {
+                self.inbuf.len()
+            }
             None => {
                 self.scanned = self.inbuf.len();
                 return None;
@@ -492,16 +437,73 @@ impl SessionMachine {
     }
 
     /// Freezes the summary once the input has ended (or the session token
-    /// fired) and every slot has drained. The owner writes the trailer.
+    /// fired and no complete line is left) and every slot has drained.
+    /// The owner writes the trailer.
     fn maybe_summarize(&mut self) {
         if self.summary.is_some() || self.failed.is_some() {
             return;
         }
-        let input_done = (self.eof && self.inbuf.is_empty()) || self.ctx.cancel.is_cancelled();
+        let input_done = if self.ctx.cancel.is_cancelled() {
+            !self.inbuf[self.head..].contains(&b'\n')
+        } else {
+            self.eof && self.inbuf.is_empty()
+        };
         if !input_done || !self.slots.is_empty() || self.inflight > 0 {
             return;
         }
         let summary = std::mem::take(&mut self.stats).summarize(self.started.elapsed(), self.width);
         self.summary = Some(summary);
+    }
+}
+
+impl Session for SessionMachine {
+    /// Buffers freshly-read request bytes; bytes arriving after
+    /// `finish_input` are not part of the batch and are dropped.
+    fn feed(&mut self, bytes: &[u8]) {
+        if !self.eof {
+            self.inbuf.extend_from_slice(bytes);
+        }
+    }
+
+    fn finish_input(&mut self) {
+        self.eof = true;
+    }
+
+    /// Drives the machine as far as it can go without blocking: drains
+    /// runner completions, emits ready answers (in input order) into
+    /// `out`, parses and dispatches the next wave when the current one is
+    /// complete, and freezes the summary once everything is answered.
+    /// `allow_parse = false` suspends parsing (outbox back-pressure)
+    /// while completions still drain.
+    fn pump(&mut self, out: &mut Vec<u8>, allow_parse: bool) {
+        self.drain_inbox();
+        loop {
+            let mut progressed = self.drain_ready(out);
+            if allow_parse && self.can_parse() {
+                progressed |= self.parse_wave();
+            }
+            if !progressed {
+                break;
+            }
+        }
+        self.maybe_summarize();
+    }
+
+    fn is_done(&self) -> bool {
+        self.summary.is_some() || self.failed.is_some()
+    }
+
+    /// After an abort ([`SessionMachine::halt`]), the solves still running.
+    fn has_inflight(&self) -> bool {
+        self.inflight > 0
+    }
+
+    fn summary(&self) -> Option<&BatchSummary> {
+        self.summary.as_ref()
+    }
+
+    /// Why the batch aborted, when it did ([`ErrorPolicy::FailFast`]).
+    fn failure(&self) -> Option<&ServeError> {
+        self.failed.as_ref()
     }
 }

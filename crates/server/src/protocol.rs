@@ -577,6 +577,8 @@ pub struct RelinedOutput {
     pub text: String,
     /// The line's `ok` flag, read positionally off the stable prefix.
     pub ok: bool,
+    /// The `line` number the text carried before the restamp.
+    pub original_line: usize,
 }
 
 /// Rewrites the `line` number of a response line without parsing (or
@@ -600,9 +602,7 @@ pub fn reline_output(text: &str, line: usize) -> Option<RelinedOutput> {
     let rest = rest[digits..].strip_prefix(", \"line\": ")?;
     let old_start = text.len() - rest.len();
     let old_digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-    if old_digits == 0 {
-        return None;
-    }
+    let original_line = rest[..old_digits].parse().ok()?;
     let tail = &rest[old_digits..];
     let after_id = tail.strip_prefix(", \"id\": ").and_then(|after_key| {
         after_key
@@ -620,7 +620,11 @@ pub fn reline_output(text: &str, line: usize) -> Option<RelinedOutput> {
     out.push_str(&text[..old_start]);
     out.push_str(&line.to_string());
     out.push_str(tail);
-    Some(RelinedOutput { text: out, ok })
+    Some(RelinedOutput {
+        text: out,
+        ok,
+        original_line,
+    })
 }
 
 /// Skips one JSON string literal at the start of `s` (honoring `\"` and
@@ -888,6 +892,7 @@ mod tests {
         let original = report_line(42, Some("abc"), &report);
         let relined = reline_output(&original, 7).unwrap();
         assert!(relined.ok);
+        assert_eq!(relined.original_line, 42);
         assert!(relined.text.starts_with(&format!(
             "{{\"schema_version\": {REPORT_SCHEMA_VERSION}, \"line\": 7, \"id\": \"abc\""
         )));
@@ -908,6 +913,7 @@ mod tests {
         let err = error_line(3, None, "boom");
         let relined = reline_output(&err, 11).unwrap();
         assert!(!relined.ok);
+        assert_eq!(relined.original_line, 3);
         assert_eq!(parse_output_line(&relined.text).unwrap().line(), 11);
     }
 

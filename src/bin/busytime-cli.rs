@@ -539,6 +539,9 @@ fn cmd_route(opts: &HashMap<String, String>) -> Result<(), String> {
     if let Some(ms) = opt_num::<u64>(opts, "probe-interval-ms")? {
         config.probe_interval = std::time::Duration::from_millis(ms);
     }
+    // every routed connection may hold a stream on every shard: a child
+    // must admit them all, or it would turn the router's own streams away
+    let shard_max_conns = config.shard_max_conns();
     let router = Router::bind(&mode, states.clone(), config).map_err(|e| e.to_string())?;
     let token = router.shutdown_token();
     install_shutdown_signals(token.clone());
@@ -556,7 +559,9 @@ fn cmd_route(opts: &HashMap<String, String>) -> Result<(), String> {
                 .arg("--tcp")
                 .arg("127.0.0.1:0")
                 .arg("--shard-id")
-                .arg(format!("shard-{index}"));
+                .arg(format!("shard-{index}"))
+                .arg("--max-conns")
+                .arg(shard_max_conns.to_string());
             if let Some(workers) = spawn_workers {
                 command.arg("--workers").arg(workers.to_string());
             }
