@@ -34,6 +34,8 @@ pub use guess_match::GuessMatch;
 pub use next_fit_proper::NextFitProper;
 
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use crate::cancel::CancelToken;
 use crate::instance::Instance;
@@ -217,11 +219,13 @@ impl<S: Scheduler + Sync> Scheduler for Decomposed<S> {
     /// (a budget race loser inside the inner solver) never cuts its
     /// siblings. When an intra-parallelism context is live
     /// ([`crate::pool::intra`]) and the instance has at least two
-    /// components, the components are solved concurrently on the context's
-    /// executor — dispatched largest-first so the fork's critical path is
-    /// one big component, with results merged (and the first error
-    /// surfaced) in original component order, so the outcome is identical
-    /// to the sequential pass.
+    /// components, the components are solved on a caller-participating
+    /// fork ([`crate::pool::Executor::fork_lanes`]) over the context's
+    /// executor: every lane claims the largest unclaimed component from a
+    /// shared cursor, so the fork's critical path is one big component.
+    /// Results are merged (and the first error surfaced) in original
+    /// component order, so the outcome is identical to the sequential
+    /// pass.
     fn schedule_with(
         &self,
         inst: &Instance,
@@ -240,17 +244,22 @@ impl<S: Scheduler + Sync> Scheduler for Decomposed<S> {
                 let tokens: Vec<CancelToken> = comps.iter().map(|_| cancel.child()).collect();
                 let mut order: Vec<usize> = (0..comps.len()).collect();
                 order.sort_by_key(|&i| std::cmp::Reverse(comps[i].0.len()));
-                let mut slots: Vec<Option<Result<Schedule, SchedulerError>>> =
-                    comps.iter().map(|_| None).collect();
-                let ran = exec.par_map_with(width, &order, |&i| {
-                    (i, self.inner.schedule_with(&comps[i].0, &tokens[i]))
+                let slots: Vec<Mutex<Option<Result<Schedule, SchedulerError>>>> =
+                    comps.iter().map(|_| Mutex::new(None)).collect();
+                let cursor = AtomicUsize::new(0);
+                exec.fork_lanes(width, || {
+                    while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        let result = self.inner.schedule_with(&comps[i].0, &tokens[i]);
+                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+                    }
                 });
-                for (i, result) in ran {
-                    slots[i] = Some(result);
-                }
                 slots
                     .into_iter()
-                    .map(|slot| slot.expect("every component dispatched"))
+                    .map(|slot| {
+                        slot.into_inner()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .expect("every component claimed")
+                    })
                     .collect::<Result<Vec<_>, _>>()?
             }
             None => {

@@ -29,7 +29,9 @@
 //! *from* one of the same pool's workers (nested parallelism) runs inline
 //! on that worker — the thread is already part of the budget, and queuing
 //! would deadlock a saturated pool; submitting to a *different* pool
-//! queues normally, since that pool's budget is independent.
+//! queues normally, since that pool's budget is independent. Work that
+//! should still use idle workers from inside the pool goes through the
+//! caller-participating fork below instead.
 //!
 //! Not every caller can park a thread on a batch. [`Executor::spawn`] is
 //! the nonblocking submission path: it queues one fire-and-forget job and
@@ -70,6 +72,24 @@
 //!   submitting thread once the whole fork has settled; pool threads never
 //!   die.
 //!
+//! # Caller-participating fork
+//!
+//! [`Executor::fork_lanes`] is the fork a pool worker can use without
+//! deadlocking its own pool. The calling thread is the first *lane*: it
+//! runs the lane closure itself, and the closure claims work from shared
+//! state until none is left. The call also offers `width − 1` helper tasks
+//! to the pool. A helper that a worker picks up while the fork is open
+//! becomes one more lane and claims work alongside the caller. A helper
+//! that starts after the caller's lane has returned finds the fork closed
+//! and returns without touching the caller's borrowed data. The caller
+//! therefore waits only on helpers that have *started*, never on one still
+//! queued: on a saturated pool the fork degrades to the caller alone. The
+//! large-record paths of the solver run on it: the component fork of
+//! [`crate::algo::Decomposed`] and FirstFit's machine stages. So one big
+//! record being served uses the worker it runs on *and* any idle one.
+//! [`Executor::available_lanes`] is the matching width: the idle workers,
+//! plus one when the caller is itself one of the pool's workers.
+//!
 //! The [`intra`] module carries the per-solve activation: a thread-local
 //! `(executor, width)` context the solve pipeline enters when a request's
 //! parallel policy resolves to on, consulted by the sort/bound/decompose
@@ -85,11 +105,11 @@
 //! assert_eq!(executor.workers(), 2);
 //! ```
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 
 use crate::cancel::CancelToken;
 
@@ -112,6 +132,10 @@ thread_local! {
     /// — that pool's workers are independent, so its budget and width
     /// still apply.
     static WORKER_OF: Cell<usize> = const { Cell::new(0) };
+    /// The pool this thread works for, as a handle [`Executor::current`]
+    /// can upgrade; dangling on non-worker threads. Weak, so a worker
+    /// never keeps its own pool alive.
+    static WORKER_POOL: RefCell<Weak<ShutdownGuard>> = const { RefCell::new(Weak::new()) };
 }
 
 /// Lock tolerating poisoning: queue and completion state stay structurally
@@ -145,8 +169,9 @@ impl ExecInner {
     }
 }
 
-fn worker_loop(inner: Arc<ExecInner>) {
+fn worker_loop(inner: Arc<ExecInner>, pool: Weak<ShutdownGuard>) {
     WORKER_OF.set(Arc::as_ptr(&inner) as usize);
+    WORKER_POOL.with(|slot| *slot.borrow_mut() = pool);
     loop {
         let job = {
             let mut queue = lock(&inner.queue);
@@ -240,22 +265,49 @@ impl Executor {
             pending: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         });
-        let handles = (0..workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("busytime-worker-{i}"))
-                    .spawn(move || worker_loop(inner))
-                    .expect("spawn executor worker")
-            })
-            .collect();
-        Executor {
-            _guard: Arc::new(ShutdownGuard {
+        // every worker gets a weak handle to the guard being built, so
+        // `Executor::current` can hand out full handles later
+        let guard = Arc::new_cyclic(|pool: &Weak<ShutdownGuard>| {
+            let handles = (0..workers)
+                .map(|i| {
+                    let inner = Arc::clone(&inner);
+                    let pool = pool.clone();
+                    std::thread::Builder::new()
+                        .name(format!("busytime-worker-{i}"))
+                        .spawn(move || worker_loop(inner, pool))
+                        .expect("spawn executor worker")
+                })
+                .collect();
+            ShutdownGuard {
                 inner: Arc::clone(&inner),
                 handles,
-            }),
+            }
+        });
+        Executor {
+            _guard: guard,
             inner,
         }
+    }
+
+    /// The pool the calling thread works for: `Some` on one of a pool's
+    /// own worker threads (a solve running inside a served batch), `None`
+    /// anywhere else. Callers that fork from inside a job use it to offer
+    /// helpers to the pool they already run on rather than to
+    /// [`Executor::global`].
+    pub fn current() -> Option<Executor> {
+        if WORKER_OF.get() == 0 {
+            return None;
+        }
+        let guard = WORKER_POOL.with(|slot| slot.borrow().upgrade())?;
+        Some(Executor {
+            inner: Arc::clone(&guard.inner),
+            _guard: guard,
+        })
+    }
+
+    /// True when the calling thread is one of this pool's workers.
+    fn is_own_worker(&self) -> bool {
+        WORKER_OF.get() == Arc::as_ptr(&self.inner) as usize
     }
 
     /// A handle onto the process-wide executor, created on first use. Its
@@ -323,6 +375,15 @@ impl Executor {
     pub fn idle_workers(&self) -> usize {
         let stats = self.stats();
         stats.workers - stats.busy
+    }
+
+    /// Lanes a [`Executor::fork_lanes`] call made now could expect: the
+    /// idle workers, plus the calling thread when it is one of this pool's
+    /// workers — that worker is busy (it is running the caller), but it
+    /// is a lane of its own fork. Never more than the budget.
+    pub fn available_lanes(&self) -> usize {
+        let own = usize::from(self.is_own_worker());
+        (self.idle_workers() + own).min(self.inner.workers)
     }
 
     /// Queues one fire-and-forget job and returns immediately.
@@ -470,7 +531,7 @@ impl Executor {
     {
         if self.effective_width(width) <= 1
             || data.len() < min_chunk.max(1).saturating_mul(2)
-            || WORKER_OF.get() == Arc::as_ptr(&self.inner) as usize
+            || self.is_own_worker()
         {
             data.sort_unstable();
             return;
@@ -498,6 +559,45 @@ impl Executor {
         data.copy_from_slice(&runs[0]);
     }
 
+    /// The caller-participating fork (see the [module docs](self)): runs
+    /// `lane` on the calling thread and offers `width − 1` helper tasks
+    /// (`0` = the full budget, clamped to it) that each run `lane` too if a
+    /// worker picks them up while the fork is open. Returns the number of
+    /// lanes that ran, the caller included.
+    ///
+    /// `lane` must be a claim loop over shared work that returns once no
+    /// work is left, so the caller alone can finish everything: helpers
+    /// are an acceleration, never a dependency. Once the caller's lane
+    /// returns, the fork closes; the call then waits only for helpers that
+    /// already started, and a helper starting later returns at once. That
+    /// makes the fork safe from one of the pool's own workers and on a
+    /// saturated pool, where it runs on the caller alone. A panic on any
+    /// lane re-raises as `"worker panicked"` once every started lane has
+    /// returned.
+    pub fn fork_lanes<F>(&self, width: usize, lane: F) -> usize
+    where
+        F: Fn() + Sync,
+    {
+        let gate = Arc::new(LaneGate {
+            status: Mutex::new(LaneStatus::default()),
+            settled: Condvar::new(),
+        });
+        for _ in 1..self.effective_width(width) {
+            // SAFETY: see `make_helper` — `gate.close` below runs before
+            // `lane` goes out of scope, and waits for every helper that
+            // got in before the close
+            let helper = unsafe { make_helper(&gate, &lane) };
+            self.inner.push(helper);
+        }
+        let own = catch_unwind(AssertUnwindSafe(&lane));
+        let (joined, panicked) = gate.close();
+        if own.is_err() || panicked {
+            panic!("worker panicked");
+        }
+        intra::record_lanes(1 + joined);
+        1 + joined
+    }
+
     /// `width` clamped the way the batch engine will clamp it (`0` = full
     /// budget, never more than the pool has, at least one).
     fn effective_width(&self, width: usize) -> usize {
@@ -520,7 +620,7 @@ impl Executor {
         if n == 0 {
             return Vec::new();
         }
-        if WORKER_OF.get() == Arc::as_ptr(&self.inner) as usize {
+        if self.is_own_worker() {
             // nested submission from one of this pool's own workers: the
             // thread is already part of the budget, so run inline —
             // queuing and blocking here would deadlock a saturated pool.
@@ -740,6 +840,83 @@ where
             return;
         }
     }
+}
+
+/// The open/closed switch of one [`Executor::fork_lanes`] call, shared
+/// with its helper tasks. It lives in an `Arc`, so a helper that starts
+/// after the caller returned can still read it safely.
+struct LaneGate {
+    status: Mutex<LaneStatus>,
+    settled: Condvar,
+}
+
+#[derive(Default)]
+struct LaneStatus {
+    /// Set once the caller's own lane returned: later helpers do nothing.
+    closed: bool,
+    /// Helpers inside the lane closure right now.
+    active: usize,
+    /// Helpers that got in before the close.
+    joined: usize,
+    panicked: bool,
+}
+
+impl LaneGate {
+    /// Closes the fork and waits until no helper is inside the lane
+    /// closure; returns how many helpers joined and whether one panicked.
+    fn close(&self) -> (usize, bool) {
+        let mut status = lock(&self.status);
+        status.closed = true;
+        while status.active > 0 {
+            status = self
+                .settled
+                .wait(status)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        (status.joined, status.panicked)
+    }
+}
+
+/// Boxes one helper task of a [`Executor::fork_lanes`] call.
+///
+/// # Safety
+///
+/// The returned job captures a pointer to `lane`, which the caller
+/// borrows. The helper dereferences it only after registering as active
+/// on an open `gate`, and deregisters once the call returns. The caller
+/// must call [`LaneGate::close`] before `lane` is dropped: it closes the
+/// gate and waits for every registered helper, so no helper can reach the
+/// pointer afterwards.
+unsafe fn make_helper<F>(gate: &Arc<LaneGate>, lane: &F) -> Job
+where
+    F: Fn() + Sync,
+{
+    let gate = Arc::clone(gate);
+    let lane = SendPtr(lane as *const F);
+    let helper: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+        // move the whole `SendPtr` (see `make_task`)
+        let lane = lane;
+        {
+            let mut status = lock(&gate.status);
+            if status.closed {
+                return;
+            }
+            status.active += 1;
+            status.joined += 1;
+        }
+        // SAFETY: registered as active on an open gate, so the caller is
+        // still inside `fork_lanes` and will not return before the
+        // decrement below
+        let ok = catch_unwind(AssertUnwindSafe(|| unsafe { (*lane.0)() })).is_ok();
+        let mut status = lock(&gate.status);
+        status.active -= 1;
+        status.panicked |= !ok;
+        if status.active == 0 {
+            gate.settled.notify_all();
+        }
+    });
+    // SAFETY: lifetime erasure only, as in `make_task`
+    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(helper) }
 }
 
 fn finish_task(completion: &Completion, panicked: bool) {
@@ -1180,6 +1357,127 @@ mod tests {
         assert!(executor.idle_workers() <= 2);
     }
 
+    /// Blocks every worker of `executor` until the returned sender is
+    /// dropped (or sends), so nothing queued afterwards can start.
+    fn block_workers(executor: &Executor) -> std::sync::mpsc::Sender<()> {
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let gate = Arc::new(Mutex::new(gate));
+        let (started, all_started) = std::sync::mpsc::channel();
+        for _ in 0..executor.workers() {
+            let gate = Arc::clone(&gate);
+            let started = started.clone();
+            executor.spawn(move || {
+                let _ = started.send(());
+                let _ = lock(&gate).recv();
+            });
+        }
+        for _ in 0..executor.workers() {
+            all_started
+                .recv_timeout(Duration::from_secs(5))
+                .expect("worker blocked");
+        }
+        release
+    }
+
+    /// A claim loop over `0..n`: every lane claims indices until none is
+    /// left, so the lanes that ran always cover the whole range.
+    fn claim_all(n: usize, lanes: usize, executor: &Executor) -> (usize, u64) {
+        let cursor = AtomicUsize::new(0);
+        let sum = std::sync::atomic::AtomicU64::new(0);
+        let ran = executor.fork_lanes(lanes, || loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return;
+            }
+            sum.fetch_add(i as u64, Ordering::Relaxed);
+        });
+        (ran, sum.into_inner())
+    }
+
+    #[test]
+    fn fork_lanes_on_a_saturated_pool_runs_on_the_caller_alone() {
+        // every worker is blocked, so the helpers stay queued: the caller
+        // must finish the work itself and return without waiting for them
+        let executor = Executor::new(2);
+        let release = block_workers(&executor);
+        let (ran, sum) = claim_all(10_000, 2, &executor);
+        assert_eq!((ran, sum), (1, (0..10_000u64).sum()));
+        assert!(executor.queue_depth() >= 1, "the helper is still queued");
+        drop(release);
+        // the stale helper finds the fork closed and returns at once
+        let started = Instant::now();
+        while executor.queue_depth() != 0 && started.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(executor.queue_depth(), 0);
+        assert_eq!(executor.par_map(&[1u32, 2], |&x| x * 3), vec![3, 6]);
+    }
+
+    #[test]
+    fn fork_lanes_from_a_worker_is_joined_by_an_idle_worker() {
+        // the serving shape: the caller is one of the pool's workers, the
+        // other worker is idle and joins the fork as a second lane
+        let executor = Executor::new(2);
+        let live = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let ran = executor.par_map(&[()], |_| {
+            executor.fork_lanes(2, || {
+                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                // stay in the lane (bounded) until the other lane arrives
+                let waited = Instant::now();
+                while peak.load(Ordering::SeqCst) < 2 && waited.elapsed() < Duration::from_secs(5) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                live.fetch_sub(1, Ordering::SeqCst);
+            })
+        });
+        assert_eq!(ran, vec![2]);
+        assert_eq!(peak.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn fork_lanes_covers_the_work_at_every_width() {
+        let executor = Executor::new(4);
+        for lanes in [0, 1, 2, 4, 9] {
+            let (ran, sum) = claim_all(50_000, lanes, &executor);
+            assert!((1..=4).contains(&ran), "{ran} lanes at width {lanes}");
+            assert_eq!(sum, (0..50_000u64).sum(), "width {lanes}");
+        }
+        assert_eq!(claim_all(100, 1, &executor).0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker panicked")]
+    fn fork_lanes_reraises_a_lane_panic() {
+        let executor = Executor::new(2);
+        executor.fork_lanes(2, || panic!("boom"));
+    }
+
+    #[test]
+    fn current_is_the_pool_a_worker_runs_for() {
+        assert!(Executor::current().is_none());
+        let executor = Executor::new(3);
+        let (send, recv) = std::sync::mpsc::channel();
+        executor.spawn(move || {
+            let current = Executor::current().expect("a worker knows its pool");
+            let _ = send.send((current.workers(), current.available_lanes()));
+        });
+        let (workers, lanes) = recv.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(workers, 3);
+        // the two idle workers, plus the calling worker's own lane
+        assert_eq!(lanes, 3);
+        // outside the pool only idle workers count
+        let started = Instant::now();
+        while executor.busy_workers() != 0 && started.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(executor.available_lanes(), 3);
+        let release = block_workers(&executor);
+        assert_eq!(executor.available_lanes(), 0);
+        drop(release);
+    }
+
     #[test]
     fn intra_context_stacks_and_restores() {
         assert_eq!(intra::width(), 1);
@@ -1253,9 +1551,11 @@ pub mod intra {
     //!
     //! The solve pipeline [`enter`]s a thread-local `(executor, width)`
     //! context when a request's parallel policy resolves to on; the sort,
-    //! bound and decomposition kernels consult [`active`] and fork over
-    //! that executor when the context is live and the data is large
-    //! enough. Entering also installs the
+    //! bound and decomposition kernels and FirstFit's stages consult
+    //! [`active`] and fork over that executor when the context is live
+    //! and the data is large enough. Forks made through
+    //! [`Executor::fork_lanes`] record how many lanes ran, which the
+    //! pipeline reads back with [`take_lanes`]. Entering also installs the
     //! [`busytime_interval::parsort`] hooks (once per process), so the
     //! interval substrate's scratch-buffer sorts accelerate without that
     //! crate depending on this one.
@@ -1266,13 +1566,15 @@ pub mod intra {
     //! the submitter's context — a forked kernel that re-enters another
     //! kernel therefore degrades to sequential instead of over-forking.
 
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::sync::Once;
 
     use super::Executor;
 
     /// Instances below this job count never trigger the `auto` parallel
-    /// policy — fork–join overhead would dominate.
+    /// policy — fork–join overhead would dominate. It is also where
+    /// FirstFit, inside a live context, switches from its job-major loop
+    /// to the staged, machine-major pass that can fork.
     pub const JOB_THRESHOLD: usize = 8192;
 
     /// Kernels leave buffers shorter than twice this to sequential code;
@@ -1282,6 +1584,9 @@ pub mod intra {
     struct Ctx {
         exec: Executor,
         width: usize,
+        /// Most lanes any [`Executor::fork_lanes`] call on this thread ran
+        /// since the last [`take_lanes`].
+        lanes: Cell<usize>,
     }
 
     thread_local! {
@@ -1318,6 +1623,7 @@ pub mod intra {
             ctx.borrow_mut().push(Ctx {
                 exec: exec.clone(),
                 width,
+                lanes: Cell::new(1),
             });
         });
         IntraGuard { pushed: true }
@@ -1332,6 +1638,24 @@ pub mod intra {
     /// The innermost context's width, or 1 when no context is live.
     pub fn width() -> usize {
         CTX.with(|ctx| ctx.borrow().last().map_or(1, |c| c.width))
+    }
+
+    /// Notes that a caller-participating fork on this thread ran `lanes`
+    /// lanes; the innermost live context keeps the maximum.
+    pub(crate) fn record_lanes(lanes: usize) {
+        CTX.with(|ctx| {
+            if let Some(c) = ctx.borrow().last() {
+                c.lanes.set(c.lanes.get().max(lanes));
+            }
+        });
+    }
+
+    /// The most lanes a caller-participating fork ran on this thread
+    /// since the previous call (1 when none forked, or no context is
+    /// live), resetting the count. The solve pipeline reads it around the
+    /// schedule phase to report the lanes that actually ran.
+    pub fn take_lanes() -> usize {
+        CTX.with(|ctx| ctx.borrow().last().map_or(1, |c| c.lanes.replace(1)))
     }
 
     /// Context-aware unstable sort: forks over the live context when the

@@ -48,6 +48,7 @@ use crate::bounds;
 use crate::cancel::CancelToken;
 use crate::instance::Instance;
 use crate::memo::{CachePolicy, CanonicalInstance, SolutionCache, SolveFingerprint, WarmStart};
+use crate::pool::Executor;
 use crate::schedule::{Schedule, ScheduleViolation};
 
 /// The near-match edit budget used when a [`SolutionCache`] warm-starts a
@@ -77,26 +78,33 @@ enum SolverChoice {
     Custom(Box<dyn Scheduler + Send + Sync>),
 }
 
-/// When a solve forks one instance's work across the global executor
-/// (parallel component decomposition, parallel sort/bound kernels).
+/// When a solve forks one instance's work (parallel component
+/// decomposition, staged FirstFit, parallel sort/bound kernels), and over
+/// which pool: the one the calling thread works for when it is a pool
+/// worker — a served record's — else the global executor.
 ///
 /// Whatever the policy, results are identical: the fork–join layer is
 /// deterministic (see [`crate::pool`]'s fork–join contract), so the policy
-/// trades wall-clock time only. The pipeline records the resolved width in
-/// the schedule phase's detail when a fork was active.
+/// trades wall-clock time only. The schedule phase's detail records the
+/// lanes that actually ran when a fork used more than one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ParallelPolicy {
     /// Fork iff the instance has at least
-    /// [`crate::pool::intra::JOB_THRESHOLD`] jobs *and* the global
-    /// executor has at least two idle workers — so single large solves
-    /// accelerate while solves already running inside a saturated batch
-    /// (whose workers are busy by definition) stay sequential and do not
-    /// thrash the budget.
+    /// [`crate::pool::intra::JOB_THRESHOLD`] jobs *and* at least two
+    /// lanes are available ([`crate::pool::Executor::available_lanes`]):
+    /// the pool's idle workers, plus the caller's own worker when the
+    /// solve runs on one. The component fork and FirstFit's stages are
+    /// caller-participating forks ([`crate::pool::Executor::fork_lanes`]):
+    /// the calling worker is the first lane and idle workers join it, so
+    /// one large record served on a pool with an idle worker uses both,
+    /// while on a saturated pool, where no helper starts, the solve runs on
+    /// the caller alone and never waits for a queued helper.
     #[default]
     Auto,
-    /// Always enter the intra-parallelism context at the executor's full
-    /// width (still inert on a single-worker executor, and nested
-    /// submissions from pool workers always degrade to inline execution).
+    /// Always enter the intra-parallelism context at the pool's full width
+    /// (still inert on a single-worker pool). Caller-participating forks
+    /// then offer helpers whatever the load; kernel forks submitted from a
+    /// pool worker still run inline.
     On,
     /// Never fork; every kernel runs sequentially.
     Off,
@@ -729,21 +737,24 @@ impl<'a> SolveRequest<'a> {
 
         // intra-instance parallelism: resolve the policy to a fork width
         // and hold the context open for the whole pipeline, so canonical
-        // hashing, feature detection, scheduling and bounds all fork. Off
-        // never touches the global executor (it may not exist yet).
-        let intra_width = match options.parallel {
-            ParallelPolicy::Off => 1,
-            ParallelPolicy::On => crate::pool::Executor::global().workers(),
-            ParallelPolicy::Auto => {
-                if inst.len() >= crate::pool::intra::JOB_THRESHOLD {
-                    crate::pool::Executor::global().idle_workers()
-                } else {
-                    1
-                }
-            }
+        // hashing, feature detection, scheduling and bounds all fork. The
+        // pool is the one the caller runs on (a served record's worker),
+        // the global one only outside any pool. Off, and Auto below the
+        // size threshold, never touch the global executor (it may not
+        // exist yet).
+        let forks = match options.parallel {
+            ParallelPolicy::Off => false,
+            ParallelPolicy::On => true,
+            ParallelPolicy::Auto => inst.len() >= crate::pool::intra::JOB_THRESHOLD,
         };
-        let _intra = (intra_width >= 2)
-            .then(|| crate::pool::intra::enter(&crate::pool::Executor::global(), intra_width));
+        let pool = forks.then(|| Executor::current().unwrap_or_else(Executor::global));
+        let _intra = pool.as_ref().map(|pool| {
+            let width = match options.parallel {
+                ParallelPolicy::On => pool.workers(),
+                _ => pool.available_lanes(),
+            };
+            crate::pool::intra::enter(pool, width)
+        });
 
         // solution-cache consult: an exact hit short-circuits the whole
         // pipeline; on a miss, a near match may still warm-start an exact
@@ -854,6 +865,7 @@ impl<'a> SolveRequest<'a> {
         // is solved directly, under the child token `Decomposed` would
         // have handed it. The schedule's accounting closes the phase.
         let t = Instant::now();
+        crate::pool::intra::take_lanes();
         let schedule = if multi_component {
             Decomposed::new(&*base).schedule_with(inst, &token)?
         } else if options.decompose {
@@ -861,16 +873,14 @@ impl<'a> SolveRequest<'a> {
         } else {
             base.schedule_with_features(inst, &features, &token)?
         };
+        let lanes = crate::pool::intra::take_lanes();
         let buckets = schedule.machine_intervals(inst);
         let cost = buckets.cost();
         phases.push(PhaseStat {
             name: "schedule",
             duration: t.elapsed(),
-            detail: if intra_width >= 2 {
-                format!(
-                    "{} machines (parallel width {intra_width})",
-                    schedule.machine_count()
-                )
+            detail: if lanes >= 2 {
+                format!("{} machines ({lanes} lanes)", schedule.machine_count())
             } else {
                 format!("{} machines", schedule.machine_count())
             },
@@ -961,6 +971,58 @@ mod tests {
 
     fn inst() -> Instance {
         Instance::from_pairs([(0, 4), (1, 5), (6, 9), (100, 104)], 2)
+    }
+
+    /// A `parallel: on` solve running on a pool worker while every other
+    /// worker is blocked: FirstFit's stages offer a helper that can never
+    /// start, and the solve must still finish, on its own worker, with
+    /// the answer of a sequential solve.
+    #[test]
+    fn parallel_on_completes_on_a_pool_with_no_free_worker() {
+        use std::sync::mpsc::channel;
+
+        let jobs = (0..9000i64)
+            .map(|i| busytime_interval::Interval::with_len((i * 7919) % 9000, 2 + i % 40))
+            .collect();
+        let inst = std::sync::Arc::new(Instance::new(jobs, 3));
+        let executor = Executor::new(2);
+        let (release, gate) = channel::<()>();
+        let (blocked, is_blocked) = channel();
+        executor.spawn(move || {
+            let _ = blocked.send(());
+            let _ = gate.recv();
+        });
+        is_blocked
+            .recv_timeout(Duration::from_secs(5))
+            .expect("one worker blocked");
+        let (done, report) = channel();
+        let on_pool = std::sync::Arc::clone(&inst);
+        executor.spawn(move || {
+            let report = SolveRequest::new(&on_pool)
+                .solver("first-fit")
+                .parallel(ParallelPolicy::On)
+                .solve()
+                .unwrap();
+            let _ = done.send(report);
+        });
+        // the blocked worker is still blocked while the answer arrives
+        let report = report
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the solve finished on its own worker");
+        drop(release);
+        // one component, so the whole record went through the stages
+        assert_eq!(report.features.components, 1);
+        let schedule = report.phases.iter().find(|p| p.name == "schedule").unwrap();
+        assert!(!schedule.detail.contains("lanes"), "{}", schedule.detail);
+        let sequential = SolveRequest::new(&inst)
+            .solver("first-fit")
+            .parallel(ParallelPolicy::Off)
+            .solve()
+            .unwrap();
+        assert_eq!(
+            report.schedule.assignment(),
+            sequential.schedule.assignment()
+        );
     }
 
     /// The phases account for the solve: on a 40k-job record of the

@@ -509,3 +509,81 @@ proptest! {
         }
     }
 }
+
+/// Staged FirstFit is the job-major greedy pass reorganised machine by
+/// machine, so on every lane count it must assign every job exactly as the
+/// job-major reference does. The instances span at least three staged
+/// blocks (1024 jobs each), so stages hand blocks downstream while the
+/// stages above them are still packing. The fig4 tiles keep Theorem 2.4's
+/// adversarial tie order (all jobs share one length, so input order is
+/// processing order under `TieBreak::Input`).
+#[test]
+fn staged_first_fit_assigns_exactly_as_job_major() {
+    use busytime_core::algo::{SortOrder, TieBreak};
+    use busytime_core::pool::Executor;
+    use busytime_instances::{fig4, Family, GeneratorSpec};
+
+    const N: usize = 3 * 1024 + 100;
+    let generated = |family: Family, g: u32| {
+        let mut spec = GeneratorSpec::new(family);
+        spec.n = N;
+        spec.g = g;
+        spec.seed = 7;
+        spec.generate()
+    };
+    let tiled_fig4 = |g: u32| {
+        let tile = fig4(g.max(2), 1000, 10).instance;
+        let copies = N.div_ceil(tile.len());
+        let jobs = (0..copies as i64)
+            .flat_map(|k| tile.jobs().iter().map(move |iv| iv.shifted(k * 3000)))
+            .collect();
+        Instance::new(jobs, g)
+    };
+    let exec = Executor::new(4);
+    let orders = [
+        SortOrder::LongestFirst,
+        SortOrder::ShortestFirst,
+        SortOrder::Arrival,
+    ];
+    let ties = [
+        TieBreak::Input,
+        TieBreak::EarliestStart,
+        TieBreak::Seeded(3),
+    ];
+    for (gi, g) in [1u32, 2, 3, 7].into_iter().enumerate() {
+        let instances = [
+            ("uniform", generated(Family::Uniform, g)),
+            ("clique", generated(Family::Clique, g)),
+            ("shifts", generated(Family::Shifts, g)),
+            ("bounded", generated(Family::Bounded, g)),
+            ("fig4", tiled_fig4(g)),
+        ];
+        for (family, inst) in &instances {
+            assert!(inst.len() > 3 * 1024, "{family} must span three blocks");
+            for (oi, &order) in orders.iter().enumerate() {
+                for (ti, &tie) in ties.iter().enumerate() {
+                    let ff = FirstFit { order, tie };
+                    let reference = ff.schedule_job_major(inst);
+                    // clique and shifts open hundreds of machines, so their
+                    // passes are near quadratic: each order/tie pair runs
+                    // on one lane count, rotating so that every order and
+                    // every tie-break meets every lane count at each g, and
+                    // every pair meets every lane count across the g sweep
+                    let lanes: &[usize] = if matches!(*family, "clique" | "shifts") {
+                        &[[1, 2, 4][(oi + ti + gi) % 3]]
+                    } else {
+                        &[1, 2, 4]
+                    };
+                    for &lanes in lanes {
+                        let staged = ff.schedule_staged(inst, &exec, lanes);
+                        assert_eq!(
+                            staged.assignment(),
+                            reference.assignment(),
+                            "{family} g={g} {order:?}/{tie:?} on {lanes} lanes"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Driver for the CI `intra-smoke` job: intra-instance fork–join.
 
-Two checks against the committed many-component fixture
+Three checks. The first two use the committed many-component fixture
 (`tests/fixtures/intra_many_components.json`, 12 balanced
 fully-overlapping clusters — the shape the fork–join component dispatch
 is built for):
@@ -16,13 +16,34 @@ is built for):
 
 * `saturated` — streams a batch of fixture records through
   `busytime-cli serve --workers 2` twice: once plain, once with every
-  record carrying `"parallel": "on"`. Records already run *on* pool
-  workers there, where nested submissions execute inline, so the
-  explicit policy must change nothing: responses stay byte-identical
-  modulo wall-clock fields, and the `on` pass must not exceed the plain
-  pass by more than SLACK (default 1.35, pure timing noise allowance).
+  record carrying `"parallel": "on"`. Six records keep both workers
+  busy. Each record's component fork is caller-participating: the
+  record's own worker claims components, and the helper tasks it offers
+  queue behind the other records' work, so a helper either joins a fork
+  still open when a worker frees up or finds it closed and returns. The
+  explicit policy can thus only move work between two busy workers,
+  never add any: responses stay byte-identical modulo wall-clock fields,
+  and the `on` pass must not exceed the plain pass by more than SLACK
+  (default 1.35, pure timing noise allowance).
 
-Usage: intra_smoke.py CLI FIXTURE speedup|saturated
+* `serving` — sends one 80k-job `uniform` generator record alone to
+  `busytime-cli serve --workers 2`, once with the default policy and once
+  with `"parallel": "off"` (FIXTURE is unused). The record's runner is a
+  pool worker and the other worker is idle, so the default policy must
+  fork FirstFit's stages onto it: responses byte-identical modulo
+  wall-clock fields, the fastest default pass's schedule phase reporting
+  `(2 lanes)`, and the default pass's solve at least SERVING_MIN (1.4)
+  times faster, min of RUNS. With `"parallel": "off"` FirstFit runs its
+  job-major loop, which is a little slower alone than the staged pass, so
+  the ratio alone would not tell a two-lane fork from a one-lane staged
+  pass reliably; the lane count does. The solve time is the record's
+  own `total_ms`: around it, each pass spends about 30 ms on one thread
+  under either policy (process start, generating, hashing and detecting
+  80k jobs, writing the answer), which would cap the whole-process ratio
+  near 1.4 even for a perfect two-lane fork. Process wall times are
+  printed alongside.
+
+Usage: intra_smoke.py CLI FIXTURE speedup|saturated|serving
 Knobs via env: INTRA_RUNS, INTRA_SPEEDUP_MIN, INTRA_SLACK.
 Exits non-zero (with a message on stderr) on any violation.
 """
@@ -35,6 +56,9 @@ import time
 RUNS = int(os.environ.get("INTRA_RUNS", "3"))
 SPEEDUP_MIN = float(os.environ.get("INTRA_SPEEDUP_MIN", "1.5"))
 SLACK = float(os.environ.get("INTRA_SLACK", "1.35"))
+SERVING_MIN = 1.4
+SERVING_RECORD = {"generator": {"family": "uniform", "n": 80000, "g": 3, "seed": 11},
+                  "solver": "first-fit"}
 SATURATED_RECORDS = 6
 
 
@@ -95,7 +119,9 @@ def check_speedup(cli, fixture):
         fail(f"fork-join speedup {ratio:.2f}x below the {SPEEDUP_MIN}x gate")
 
 
-def serve_pass(cli, payload):
+def serve_pass(cli, payload, raw=None):
+    """Wall seconds and timeless reports of one `serve` run; appends each
+    record's full report to `raw` when given."""
     start = time.monotonic()
     out = subprocess.run(
         [cli, "serve", "--workers", "2"],
@@ -107,6 +133,8 @@ def serve_pass(cli, payload):
         response = json.loads(line)
         if not response.get("ok"):
             fail(f"record failed: {response}")
+        if raw is not None:
+            raw.append(response["report"])
         reports.append(timeless(response["report"]))
     return elapsed, reports
 
@@ -138,14 +166,46 @@ def check_saturated(cli, fixture):
              f"{SLACK}x noise allowance")
 
 
+def check_serving(cli):
+    forked = json.dumps(dict(SERVING_RECORD, id="one")).encode() + b"\n"
+    alone = json.dumps(dict(SERVING_RECORD, id="one", parallel="off")).encode() + b"\n"
+    forked_raw, alone_raw, forked_wall, alone_wall = [], [], [], []
+    for _ in range(RUNS):
+        wall, forked_reports = serve_pass(cli, forked, forked_raw)
+        forked_wall.append(wall)
+        wall, alone_reports = serve_pass(cli, alone, alone_raw)
+        alone_wall.append(wall)
+        if len(forked_reports) != 1 or forked_reports != alone_reports:
+            fail("the served record's report depends on its parallel policy")
+    print("reports byte-identical modulo phases/total_ms")
+    fastest = min(forked_raw, key=lambda r: r["total_ms"])
+    lanes = [p["detail"] for p in fastest["phases"] if p["name"] == "schedule"]
+    print(f"fastest default pass: schedule {lanes}")
+    if not lanes or not lanes[0].endswith("(2 lanes)"):
+        fail("the fastest default pass did not schedule on 2 lanes")
+    forked_ms = [r["total_ms"] for r in forked_raw]
+    alone_ms = [r["total_ms"] for r in alone_raw]
+    ratio = min(alone_ms) / min(forked_ms)
+    print(f"one 80k record on serve --workers 2, min of {RUNS}: "
+          f"solve {min(alone_ms):.0f} ms with parallel off, "
+          f"{min(forked_ms):.0f} ms by default -> {ratio:.2f}x; "
+          f"process {min(alone_wall) * 1e3:.0f} ms -> {min(forked_wall) * 1e3:.0f} ms")
+    if ratio < SERVING_MIN:
+        fail(f"serving speedup {ratio:.2f}x below the {SERVING_MIN}x gate: "
+             f"the record did not use the idle worker")
+
+
 def main():
-    if len(sys.argv) != 4 or sys.argv[3] not in ("speedup", "saturated"):
-        fail("usage: intra_smoke.py CLI FIXTURE speedup|saturated")
+    modes = ("speedup", "saturated", "serving")
+    if len(sys.argv) != 4 or sys.argv[3] not in modes:
+        fail("usage: intra_smoke.py CLI FIXTURE speedup|saturated|serving")
     cli, fixture, mode = sys.argv[1:4]
     if mode == "speedup":
         check_speedup(cli, fixture)
-    else:
+    elif mode == "saturated":
         check_saturated(cli, fixture)
+    else:
+        check_serving(cli)
 
 
 if __name__ == "__main__":

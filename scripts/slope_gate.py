@@ -3,12 +3,15 @@
 
 Reads the estimate lines a measuring bench run appends to
 BUSYTIME_BENCH_JSON, keeps the ids `<group>/<n>`, and fits the log-log
-slope between the smallest and the largest n from each size's minimum
+slope between every pair of adjacent sizes from each size's minimum
 timing. The minimum of several samples is the least noisy estimate of
 the kernel's cost, and a slope is a shape check: a slower runner scales
-every size alike, a quadratic splice does not. Exits nonzero when the
-slope exceeds --max, or when a size is missing or carries fewer than
---min-samples samples (a `--test` smoke run has one sample per bench).
+every size alike, a quadratic splice does not. Every adjacent pair is
+gated, not only smallest -> largest, so a curve that bends up at one end
+cannot hide behind a flat stretch elsewhere. Exits nonzero when any
+pair's slope exceeds --max, or when a size is missing or carries fewer
+than --min-samples samples (a `--test` smoke run has one sample per
+bench).
 
 Usage:
   BUSYTIME_BENCH_JSON=est.ndjson cargo bench -p busytime-bench \\
@@ -63,15 +66,18 @@ def main():
         sys.exit(1)
 
     points = sorted((n, found[n]["min_ns"]) for n in found)
+    breaches = []
     for (n0, t0), (n1, t1) in zip(points, points[1:]):
+        pair = slope([(n0, t0), (n1, t1)])
         print(f"{args.group}: {n0} -> {n1}: {t0 / 1e6:.2f} -> {t1 / 1e6:.2f} ms, "
-              f"slope {slope([(n0, t0), (n1, t1)]):.2f}")
-    overall = slope(points)
-    print(f"{args.group}: slope {points[0][0]} -> {points[-1][0]} = {overall:.2f} "
-          f"(max {args.max:.2f})")
-    if overall > args.max:
-        print(f"::error::{args.group} grows with slope {overall:.2f} > {args.max:.2f}",
-              file=sys.stderr)
+              f"slope {pair:.2f} (max {args.max:.2f})")
+        if pair > args.max:
+            breaches.append((n0, n1, pair))
+    print(f"{args.group}: slope {points[0][0]} -> {points[-1][0]} = {slope(points):.2f}")
+    for n0, n1, pair in breaches:
+        print(f"::error::{args.group} grows with slope {pair:.2f} > {args.max:.2f} "
+              f"from {n0} to {n1}", file=sys.stderr)
+    if breaches:
         sys.exit(1)
 
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Self-test for the slope_gate.py complexity gate.
 
-Runs the gate on synthetic estimate files: a near-linear curve must pass,
-a quadratic one and a single-sample (`--test` smoke) one must fail, so a
-gate that silently stops failing fails the build itself.
+Runs the gate on synthetic estimate files: a near-linear curve must pass;
+a quadratic one, one whose endpoint slope passes while one adjacent pair
+breaches, and a single-sample (`--test` smoke) one must fail, so a gate
+that silently stops failing fails the build itself.
 
 Usage: test_slope_gate.py   (no arguments; exits nonzero on any failure)
 """
@@ -35,6 +36,9 @@ def main():
     cases = [
         ("linear passes", {10_000: 5e6, 40_000: 21e6, 160_000: 90e6}, 10, 0),
         ("quadratic fails", {10_000: 5e6, 40_000: 80e6, 160_000: 1280e6}, 10, 1),
+        # 10k -> 160k is slope 0.93, but 40k -> 160k is 1.79
+        ("endpoint passes, one adjacent pair fails",
+         {10_000: 5e6, 40_000: 5.5e6, 160_000: 66e6}, 10, 1),
         ("single-sample smoke fails", {10_000: 5e6, 160_000: 90e6}, 1, 1),
         ("one size fails", {10_000: 5e6}, 10, 1),
     ]
