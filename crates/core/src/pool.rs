@@ -43,35 +43,6 @@
 //! batch items, so a connection flood cannot out-schedule the batch
 //! paths.
 //!
-//! # Fork–join over one instance
-//!
-//! [`Executor::par_chunks`] / [`Executor::par_reduce`] split *one* slice
-//! into consecutive chunks and fan the chunks over the same worker budget
-//! — the data-parallel layer large single instances run on (parallel
-//! decomposition, parallel sorts, chunked bound sweeps). The contract:
-//!
-//! * **Determinism** — chunk results come back in chunk order and
-//!   [`Executor::par_reduce`] folds them strictly left-to-right, so any
-//!   associative reduction (sums, maxes, merges of sorted runs) is
-//!   bit-identical to the sequential computation. Chunk boundaries depend
-//!   only on the slice length, the requested width and `min_chunk`, never
-//!   on scheduling.
-//! * **Nesting** — a fork–join call from one of the pool's own workers
-//!   runs inline on that worker (the `WORKER_OF` path), so solvers that
-//!   already run *on* the pool (a saturated batch) degrade to sequential
-//!   instead of deadlocking or thrashing the budget.
-//! * **Sequential-below-threshold** — fewer than two chunks of `min_chunk`
-//!   items never touch the queue: the closure runs on the calling thread
-//!   and small instances pay nothing for the capability.
-//! * **Cancellation** — [`Executor::par_chunks_under`] hands every chunk a
-//!   fresh child of the caller's [`CancelToken`]: cancelling the parent
-//!   cuts every chunk at its next cooperative check, while one chunk
-//!   cancelling (or poisoning) its own token never affects siblings.
-//! * **Panic containment** — a panic in any chunk is caught by the batch
-//!   protocol and re-raised as a single `"worker panicked"` panic on the
-//!   submitting thread once the whole fork has settled; pool threads never
-//!   die.
-//!
 //! # Caller-participating fork
 //!
 //! [`Executor::fork_lanes`] is the fork a pool worker can use without
@@ -90,11 +61,13 @@
 //! [`Executor::available_lanes`] is the matching width: the idle workers,
 //! plus one when the caller is itself one of the pool's workers.
 //!
+//! Those two are the only forks over one instance: the sorts, scans and
+//! bound sweeps of the other phases run on the calling thread.
+//!
 //! The [`intra`] module carries the per-solve activation: a thread-local
 //! `(executor, width)` context the solve pipeline enters when a request's
-//! parallel policy resolves to on, consulted by the sort/bound/decompose
-//! kernels (and, through installed [`busytime_interval::parsort`] hooks,
-//! by the interval substrate below this crate).
+//! parallel policy resolves to on, consulted by the component fork and
+//! FirstFit's stages.
 //!
 //! ```
 //! use busytime_core::pool::Executor;
@@ -110,8 +83,6 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
-
-use crate::cancel::CancelToken;
 
 /// The worker count a sizing of `0` resolves to: every available core.
 pub fn default_workers() -> usize {
@@ -360,7 +331,7 @@ impl Executor {
     /// One coherent stats snapshot for `/healthz` and logs. The counters
     /// are sampled together and `busy` is clamped to the worker budget, so
     /// a reader never observes the impossible `busy > workers` even while
-    /// fork–join bursts are moving the counters between loads.
+    /// fork bursts are moving the counters between loads.
     pub fn stats(&self) -> PoolStats {
         let workers = self.inner.workers;
         PoolStats {
@@ -432,131 +403,6 @@ impl Executor {
         F: Fn(&T) -> R + Sync,
     {
         self.run_batch(width, items.len(), |i| f(&items[i]))
-    }
-
-    /// Fork–join over one slice: splits `items` into consecutive chunks
-    /// (a few per worker, never smaller than `min_chunk`) and runs `f` on
-    /// each chunk over at most `width` workers (`0` = the full budget).
-    /// Per-chunk results come back in chunk order.
-    ///
-    /// Chunk boundaries are a pure function of `items.len()`, the clamped
-    /// width and `min_chunk` — never of scheduling — so for a given width
-    /// the output is deterministic. When the slice is too small for two
-    /// chunks, `f` runs once over the whole slice on the *calling* thread:
-    /// small inputs never touch the queue. A call from one of this pool's
-    /// own workers runs every chunk inline on that worker (see
-    /// [`Executor::par_map`]'s nesting contract). Panics in `f` follow the
-    /// pool-wide containment contract: re-raised once as `worker panicked`
-    /// after the fork settles.
-    pub fn par_chunks<T, R, F>(&self, width: usize, items: &[T], min_chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&[T]) -> R + Sync,
-    {
-        self.par_chunks_under(
-            width,
-            &CancelToken::never(),
-            items,
-            min_chunk,
-            |chunk, _| f(chunk),
-        )
-    }
-
-    /// [`Executor::par_chunks`] under a caller-owned `parent` token: every
-    /// chunk's closure receives a fresh *child* of `parent`, so cancelling
-    /// the parent cuts every chunk at its next cooperative check while one
-    /// chunk cancelling its own token never affects its siblings.
-    pub fn par_chunks_under<T, R, F>(
-        &self,
-        width: usize,
-        parent: &CancelToken,
-        items: &[T],
-        min_chunk: usize,
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&[T], &CancelToken) -> R + Sync,
-    {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let ranges = chunk_ranges(items.len(), self.effective_width(width), min_chunk);
-        if ranges.len() <= 1 {
-            return vec![f(items, &parent.child())];
-        }
-        self.run_batch(width, ranges.len(), |i| {
-            let (lo, hi) = ranges[i];
-            f(&items[lo..hi], &parent.child())
-        })
-    }
-
-    /// Chunked map-reduce: maps each chunk with `map` (in parallel, as
-    /// [`Executor::par_chunks`]) and folds the per-chunk results strictly
-    /// left-to-right with `fold` on the calling thread. `None` iff `items`
-    /// is empty. When `fold` is associative with the sequential
-    /// computation's operator (integer sums, maxes, merges), the result is
-    /// bit-identical to the sequential pass at every width.
-    pub fn par_reduce<T, R, M, F>(
-        &self,
-        width: usize,
-        items: &[T],
-        min_chunk: usize,
-        map: M,
-        fold: F,
-    ) -> Option<R>
-    where
-        T: Sync,
-        R: Send,
-        M: Fn(&[T]) -> R + Sync,
-        F: FnMut(R, R) -> R,
-    {
-        let mut parts = self.par_chunks(width, items, min_chunk, map).into_iter();
-        let first = parts.next()?;
-        Some(parts.fold(first, fold))
-    }
-
-    /// Parallel unstable sort: sorts chunks in parallel, then merges the
-    /// sorted runs pairwise (also in parallel) back into `data`. Requires
-    /// `Copy` so runs can be staged out-of-place, and the combination of
-    /// `Ord + Copy` makes equal elements indistinguishable — the sorted
-    /// result is bit-identical to [`slice::sort_unstable`] at every width.
-    /// Below two `min_chunk`-sized chunks (or on a nested call from one of
-    /// this pool's workers) it is exactly `sort_unstable`.
-    pub fn par_sort_unstable<T>(&self, width: usize, data: &mut [T], min_chunk: usize)
-    where
-        T: Ord + Copy + Send + Sync,
-    {
-        if self.effective_width(width) <= 1
-            || data.len() < min_chunk.max(1).saturating_mul(2)
-            || self.is_own_worker()
-        {
-            data.sort_unstable();
-            return;
-        }
-        let mut runs: Vec<Vec<T>> = self.par_chunks(width, data, min_chunk, |chunk| {
-            let mut run = chunk.to_vec();
-            run.sort_unstable();
-            run
-        });
-        while runs.len() > 1 {
-            let mut pairs: Vec<(Vec<T>, Vec<T>)> = Vec::with_capacity(runs.len() / 2);
-            let mut carry: Option<Vec<T>> = None;
-            let mut iter = runs.into_iter();
-            while let Some(a) = iter.next() {
-                match iter.next() {
-                    Some(b) => pairs.push((a, b)),
-                    None => carry = Some(a),
-                }
-            }
-            runs = self.par_map_with(width, &pairs, |(a, b)| merge_sorted(a, b));
-            if let Some(run) = carry {
-                runs.push(run);
-            }
-        }
-        data.copy_from_slice(&runs[0]);
     }
 
     /// The caller-participating fork (see the [module docs](self)): runs
@@ -701,43 +547,6 @@ pub struct PoolStats {
     pub busy: usize,
     /// Jobs queued but not yet picked up by a worker.
     pub queued: usize,
-}
-
-/// Target chunks per worker for [`Executor::par_chunks`]: a few chunks per
-/// lane so uneven per-chunk costs still balance without condvar churn.
-const CHUNKS_PER_WORKER: usize = 4;
-
-/// Deterministic chunk boundaries: a pure function of `(n, width,
-/// min_chunk)`. Chunks are consecutive, cover `0..n`, and all but the last
-/// have the same size (at least `min_chunk`).
-fn chunk_ranges(n: usize, width: usize, min_chunk: usize) -> Vec<(usize, usize)> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let chunk = n
-        .div_ceil(width.max(1) * CHUNKS_PER_WORKER)
-        .max(min_chunk.max(1));
-    (0..n.div_ceil(chunk))
-        .map(|i| (i * chunk, ((i + 1) * chunk).min(n)))
-        .collect()
-}
-
-/// Two-pointer merge of sorted runs, left-biased on ties.
-fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if b[j] < a[i] {
-            out.push(b[j]);
-            j += 1;
-        } else {
-            out.push(a[i]);
-            i += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// One batch's shared state, allocated on the submitting thread's stack
@@ -1200,140 +1009,13 @@ mod tests {
         });
     }
 
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    #[test]
-    fn par_chunks_concatenates_to_the_sequential_map() {
-        let executor = Executor::new(4);
-        let items: Vec<u64> = (0..10_000).collect();
-        for width in [1, 2, 4] {
-            let sums: Vec<Vec<u64>> = executor.par_chunks(width, &items, 16, |chunk| {
-                chunk.iter().map(|&x| x * 2).collect()
-            });
-            let flat: Vec<u64> = sums.into_iter().flatten().collect();
-            assert_eq!(flat, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn par_chunks_small_input_runs_on_the_calling_thread() {
-        let executor = Executor::new(4);
-        let caller = std::thread::current().id();
-        let items: Vec<u32> = (0..10).collect();
-        // far below two chunks of min_chunk=1000: must not touch the queue
-        let ran_on = executor.par_chunks(4, &items, 1000, |_| std::thread::current().id());
-        assert_eq!(ran_on, vec![caller]);
-        let empty: Vec<u32> = Vec::new();
-        assert!(executor.par_chunks(4, &empty, 1000, |_| 0u8).is_empty());
-    }
-
-    #[test]
-    fn par_reduce_is_bit_identical_to_sequential_fold() {
-        let executor = Executor::new(4);
-        let mut state = 7u64;
-        let items: Vec<i64> = (0..50_000)
-            .map(|_| (splitmix(&mut state) % 1000) as i64 - 500)
-            .collect();
-        let expect: i64 = items.iter().sum();
-        for width in [1, 2, 4] {
-            let got = executor
-                .par_reduce(
-                    width,
-                    &items,
-                    64,
-                    |chunk| chunk.iter().sum::<i64>(),
-                    |a, b| a + b,
-                )
-                .unwrap();
-            assert_eq!(got, expect, "width {width}");
-        }
-        let empty: Vec<i64> = Vec::new();
-        assert_eq!(
-            executor.par_reduce(4, &empty, 64, |c| c.len(), |a, b| a + b),
-            None
-        );
-    }
-
-    #[test]
-    fn par_chunks_under_cancelled_parent_reaches_every_chunk() {
-        let executor = Executor::new(4);
-        let parent = CancelToken::never();
-        parent.cancel();
-        let items: Vec<u32> = (0..4096).collect();
-        let seen =
-            executor.par_chunks_under(4, &parent, &items, 64, |_, token| token.is_cancelled());
-        assert!(seen.len() > 1, "want a real fork for this test");
-        assert!(seen.iter().all(|&cancelled| cancelled));
-    }
-
-    #[test]
-    fn par_chunks_under_chunk_cancel_does_not_poison_parent_or_siblings() {
-        let executor = Executor::new(4);
-        let parent = CancelToken::never();
-        let items: Vec<u32> = (0..4096).collect();
-        let seen = executor.par_chunks_under(4, &parent, &items, 64, |chunk, token| {
-            if chunk[0] == 0 {
-                token.cancel(); // first chunk poisons only itself
-            }
-            (chunk[0], token.is_cancelled())
-        });
-        assert!(seen.len() > 1);
-        assert!(!parent.is_cancelled());
-        for &(first, cancelled) in &seen {
-            assert_eq!(cancelled, first == 0, "chunk starting at {first}");
-        }
-    }
-
-    #[test]
-    fn par_sort_is_bit_identical_to_sort_unstable() {
-        let executor = Executor::new(4);
-        let mut state = 42u64;
-        for n in [0usize, 1, 100, 4095, 4096, 30_000] {
-            let data: Vec<i64> = (0..n).map(|_| (splitmix(&mut state) % 97) as i64).collect();
-            let mut expect = data.clone();
-            expect.sort_unstable();
-            for width in [1, 2, 4] {
-                let mut got = data.clone();
-                executor.par_sort_unstable(width, &mut got, 64);
-                assert_eq!(got, expect, "n={n} width={width}");
-            }
-        }
-    }
-
     #[test]
     fn nested_fork_join_on_a_worker_runs_inline() {
         // a solve running *on* the pool (saturated batch) that forks again
-        // must degrade to sequential, not deadlock the single worker
+        // must run on its own worker, not deadlock the single worker
         let executor = Executor::new(1);
-        let out = executor.par_map(&[()], |_| {
-            let items: Vec<u64> = (0..5000).collect();
-            executor
-                .par_reduce(0, &items, 64, |c| c.iter().sum::<u64>(), |a, b| a + b)
-                .unwrap()
-        });
-        assert_eq!(out, vec![(0..5000u64).sum()]);
-    }
-
-    #[test]
-    fn chunk_ranges_cover_and_respect_the_floor() {
-        for (n, width, min_chunk) in [(1usize, 4, 64), (4096, 4, 64), (100_000, 3, 4096)] {
-            let ranges = chunk_ranges(n, width, min_chunk);
-            assert_eq!(ranges.first().unwrap().0, 0);
-            assert_eq!(ranges.last().unwrap().1, n);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "chunks must be consecutive");
-            }
-            for &(lo, hi) in &ranges[..ranges.len() - 1] {
-                assert!(hi - lo >= min_chunk, "chunk below floor");
-            }
-        }
-        assert!(chunk_ranges(0, 4, 64).is_empty());
+        let out = executor.par_map(&[()], |_| claim_all(5000, 0, &executor));
+        assert_eq!(out, vec![(1, (0..5000u64).sum())]);
     }
 
     #[test]
@@ -1480,69 +1162,25 @@ mod tests {
 
     #[test]
     fn intra_context_stacks_and_restores() {
-        assert_eq!(intra::width(), 1);
-        assert!(intra::active().is_none());
+        let width = || intra::active().map(|(_, width)| width);
+        assert_eq!(width(), None);
         let outer = Executor::new(4);
         {
             let _outer_guard = intra::enter(&outer, 4);
-            assert_eq!(intra::width(), 4);
+            assert_eq!(width(), Some(4));
             {
                 let _inner_guard = intra::enter(&outer, 2);
-                assert_eq!(intra::width(), 2);
+                assert_eq!(width(), Some(2));
             }
-            assert_eq!(intra::width(), 4);
+            assert_eq!(width(), Some(4));
             // width below 2 (or clamped below 2) is inert
             let _inert = intra::enter(&outer, 1);
-            assert_eq!(intra::width(), 4);
+            assert_eq!(width(), Some(4));
             let one = Executor::new(1);
             let _clamped = intra::enter(&one, 8);
-            assert_eq!(intra::width(), 4);
+            assert_eq!(width(), Some(4));
         }
-        assert_eq!(intra::width(), 1);
-    }
-
-    #[test]
-    fn intra_sort_matches_sequential_inside_and_outside_a_context() {
-        let executor = Executor::new(4);
-        let mut state = 3u64;
-        let data: Vec<(i64, i64)> = (0..20_000)
-            .map(|_| {
-                (
-                    (splitmix(&mut state) % 512) as i64,
-                    (splitmix(&mut state) % 512) as i64,
-                )
-            })
-            .collect();
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        let mut outside = data.clone();
-        intra::sort_unstable(&mut outside);
-        assert_eq!(outside, expect);
-        let _guard = intra::enter(&executor, 4);
-        let mut inside = data.clone();
-        intra::sort_unstable(&mut inside);
-        assert_eq!(inside, expect);
-    }
-
-    #[test]
-    fn intra_context_accelerates_interval_crate_sorts() {
-        // entering a context installs the parsort hooks; a sort routed
-        // through the interval crate's seam must stay correct under it
-        let executor = Executor::new(4);
-        let _guard = intra::enter(&executor, 4);
-        let mut state = 11u64;
-        let mut pairs: Vec<(i64, i64)> = (0..20_000)
-            .map(|_| {
-                (
-                    (splitmix(&mut state) % 256) as i64,
-                    (splitmix(&mut state) % 256) as i64,
-                )
-            })
-            .collect();
-        let mut expect = pairs.clone();
-        expect.sort_unstable();
-        busytime_interval::parsort::sort_pairs(&mut pairs);
-        assert_eq!(pairs, expect);
+        assert_eq!(width(), None);
     }
 }
 
@@ -1550,36 +1188,28 @@ pub mod intra {
     //! Per-solve activation of intra-instance parallelism.
     //!
     //! The solve pipeline [`enter`]s a thread-local `(executor, width)`
-    //! context when a request's parallel policy resolves to on; the sort,
-    //! bound and decomposition kernels and FirstFit's stages consult
-    //! [`active`] and fork over that executor when the context is live
-    //! and the data is large enough. Forks made through
-    //! [`Executor::fork_lanes`] record how many lanes ran, which the
-    //! pipeline reads back with [`take_lanes`]. Entering also installs the
-    //! [`busytime_interval::parsort`] hooks (once per process), so the
-    //! interval substrate's scratch-buffer sorts accelerate without that
-    //! crate depending on this one.
+    //! context when a request's parallel policy resolves to on; the
+    //! component fork of [`crate::algo::Decomposed`] and FirstFit's stages
+    //! consult [`active`] and fork over that executor when the context is
+    //! live and the record is large enough. Both fork through
+    //! [`Executor::fork_lanes`], which records how many lanes ran; the
+    //! pipeline reads that back with [`take_lanes`].
     //!
     //! The context is a per-thread stack: nested [`enter`]s shadow the
     //! outer context, the [`IntraGuard`] restores it on drop (including
     //! during unwinding), and worker threads of the pool itself never see
-    //! the submitter's context — a forked kernel that re-enters another
-    //! kernel therefore degrades to sequential instead of over-forking.
+    //! the submitter's context — a component solved on a helper lane
+    //! therefore runs FirstFit's job-major loop instead of over-forking.
 
     use std::cell::{Cell, RefCell};
-    use std::sync::Once;
 
     use super::Executor;
 
     /// Instances below this job count never trigger the `auto` parallel
-    /// policy — fork–join overhead would dominate. It is also where
+    /// policy — fork overhead would dominate. It is also where
     /// FirstFit, inside a live context, switches from its job-major loop
     /// to the staged, machine-major pass that can fork.
     pub const JOB_THRESHOLD: usize = 8192;
-
-    /// Kernels leave buffers shorter than twice this to sequential code;
-    /// also the chunk floor handed to [`Executor::par_chunks`].
-    pub const MIN_CHUNK: usize = 4096;
 
     struct Ctx {
         exec: Executor,
@@ -1611,14 +1241,13 @@ pub mod intra {
 
     /// Enters a `width`-lane intra-parallelism context on `exec` for the
     /// current thread. A width below 2 (after clamping to the pool's
-    /// worker budget) yields an inert guard and kernels stay sequential,
+    /// worker budget) yields an inert guard and the solve never forks,
     /// so callers can pass their resolved policy width unconditionally.
     pub fn enter(exec: &Executor, width: usize) -> IntraGuard {
         let width = width.min(exec.workers());
         if width < 2 {
             return IntraGuard { pushed: false };
         }
-        install_hooks();
         CTX.with(|ctx| {
             ctx.borrow_mut().push(Ctx {
                 exec: exec.clone(),
@@ -1633,11 +1262,6 @@ pub mod intra {
     /// `width ≥ 2`.
     pub fn active() -> Option<(Executor, usize)> {
         CTX.with(|ctx| ctx.borrow().last().map(|c| (c.exec.clone(), c.width)))
-    }
-
-    /// The innermost context's width, or 1 when no context is live.
-    pub fn width() -> usize {
-        CTX.with(|ctx| ctx.borrow().last().map_or(1, |c| c.width))
     }
 
     /// Notes that a caller-participating fork on this thread ran `lanes`
@@ -1656,46 +1280,6 @@ pub mod intra {
     /// schedule phase to report the lanes that actually ran.
     pub fn take_lanes() -> usize {
         CTX.with(|ctx| ctx.borrow().last().map_or(1, |c| c.lanes.replace(1)))
-    }
-
-    /// Context-aware unstable sort: forks over the live context when the
-    /// buffer is long enough, plain [`slice::sort_unstable`] otherwise.
-    /// `Ord + Copy` makes equal elements indistinguishable, so the result
-    /// is bit-identical either way.
-    pub fn sort_unstable<T: Ord + Copy + Send + Sync>(data: &mut [T]) {
-        match active() {
-            Some((exec, width)) if data.len() >= MIN_CHUNK * 2 => {
-                exec.par_sort_unstable(width, data, MIN_CHUNK);
-            }
-            _ => data.sort_unstable(),
-        }
-    }
-
-    fn sort_pairs_hook(buf: &mut [(i64, i64)]) -> bool {
-        match active() {
-            Some((exec, width)) if buf.len() >= MIN_CHUNK * 2 => {
-                exec.par_sort_unstable(width, buf, MIN_CHUNK);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn sort_keys_hook(buf: &mut [i64]) -> bool {
-        match active() {
-            Some((exec, width)) if buf.len() >= MIN_CHUNK * 2 => {
-                exec.par_sort_unstable(width, buf, MIN_CHUNK);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn install_hooks() {
-        static ONCE: Once = Once::new();
-        ONCE.call_once(|| {
-            busytime_interval::parsort::install(sort_pairs_hook, sort_keys_hook);
-        });
     }
 }
 

@@ -78,15 +78,16 @@ enum SolverChoice {
     Custom(Box<dyn Scheduler + Send + Sync>),
 }
 
-/// When a solve forks one instance's work (parallel component
-/// decomposition, staged FirstFit, parallel sort/bound kernels), and over
-/// which pool: the one the calling thread works for when it is a pool
-/// worker — a served record's — else the global executor.
+/// When a solve forks one instance's work, and over which pool: the one
+/// the calling thread works for when it is a pool worker — a served
+/// record's — else the global executor. Exactly two places fork, both in
+/// the schedule phase: [`crate::algo::Decomposed`]'s component fork and
+/// FirstFit's staged pass. Every other phase runs on the calling thread.
 ///
-/// Whatever the policy, results are identical: the fork–join layer is
-/// deterministic (see [`crate::pool`]'s fork–join contract), so the policy
-/// trades wall-clock time only. The schedule phase's detail records the
-/// lanes that actually ran when a fork used more than one.
+/// Whatever the policy, results are identical: both forks assemble their
+/// output in a fixed order, whatever lanes ran, so the policy trades
+/// wall-clock time only. The schedule phase's detail records the lanes
+/// that actually ran when a fork used more than one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ParallelPolicy {
     /// Fork iff the instance has at least
@@ -102,11 +103,10 @@ pub enum ParallelPolicy {
     #[default]
     Auto,
     /// Always enter the intra-parallelism context at the pool's full width
-    /// (still inert on a single-worker pool). Caller-participating forks
-    /// then offer helpers whatever the load; kernel forks submitted from a
-    /// pool worker still run inline.
+    /// (still inert on a single-worker pool): the component fork and
+    /// FirstFit's stages offer helpers whatever the load.
     On,
-    /// Never fork; every kernel runs sequentially.
+    /// Never fork; the whole solve runs on the calling thread.
     Off,
 }
 
@@ -164,8 +164,8 @@ pub struct SolveOptions {
     pub warm_start: Option<WarmStart>,
     /// Intra-instance parallelism policy (default
     /// [`ParallelPolicy::Auto`]). Deliberately excluded from the
-    /// solution-cache fingerprint: the fork–join layer is deterministic,
-    /// so parallel and sequential solves of one instance are
+    /// solution-cache fingerprint: the forks are deterministic, so
+    /// parallel and sequential solves of one instance are
     /// interchangeable cache entries.
     pub parallel: ParallelPolicy,
 }
@@ -736,9 +736,9 @@ impl<'a> SolveRequest<'a> {
         }
 
         // intra-instance parallelism: resolve the policy to a fork width
-        // and hold the context open for the whole pipeline, so canonical
-        // hashing, feature detection, scheduling and bounds all fork. The
-        // pool is the one the caller runs on (a served record's worker),
+        // and hold the context open for the whole pipeline; only the
+        // schedule phase consults it (the component fork and FirstFit's
+        // stages). The pool is the one the caller runs on (a served record's worker),
         // the global one only outside any pool. Off, and Auto below the
         // size threshold, never touch the global executor (it may not
         // exist yet).
@@ -1014,6 +1014,66 @@ mod tests {
         assert_eq!(report.features.components, 1);
         let schedule = report.phases.iter().find(|p| p.name == "schedule").unwrap();
         assert!(!schedule.detail.contains("lanes"), "{}", schedule.detail);
+        let sequential = SolveRequest::new(&inst)
+            .solver("first-fit")
+            .parallel(ParallelPolicy::Off)
+            .solve()
+            .unwrap();
+        assert_eq!(
+            report.schedule.assignment(),
+            sequential.schedule.assignment()
+        );
+    }
+
+    /// A thread outside the pool solves inside an intra context while
+    /// every worker of that pool is blocked. Only FirstFit's stages may
+    /// offer work to the pool, and they never wait for a helper that has
+    /// not started, so the solve finishes on the calling thread alone,
+    /// with the answer of a plain sequential solve.
+    #[test]
+    fn a_context_on_a_blocked_pool_solves_on_the_calling_thread() {
+        use std::sync::mpsc::channel;
+        use std::sync::{Arc, Mutex, PoisonError};
+
+        let jobs = (0..9000i64)
+            .map(|i| busytime_interval::Interval::with_len((i * 7919) % 9000, 2 + i % 40))
+            .collect();
+        let inst = Arc::new(Instance::new(jobs, 3));
+        let executor = Executor::new(2);
+        let (release, gate) = channel::<()>();
+        let gate = Arc::new(Mutex::new(gate));
+        let (blocked, is_blocked) = channel();
+        for _ in 0..2 {
+            let gate = Arc::clone(&gate);
+            let blocked = blocked.clone();
+            executor.spawn(move || {
+                let _ = blocked.send(());
+                let _ = gate.lock().unwrap_or_else(PoisonError::into_inner).recv();
+            });
+        }
+        for _ in 0..2 {
+            is_blocked
+                .recv_timeout(Duration::from_secs(5))
+                .expect("both workers blocked");
+        }
+        let (done, report) = channel();
+        let outside = Arc::clone(&inst);
+        let pool = executor.clone();
+        std::thread::spawn(move || {
+            let _ctx = crate::pool::intra::enter(&pool, 2);
+            let report = SolveRequest::new(&outside)
+                .solver("first-fit")
+                .parallel(ParallelPolicy::Off)
+                .solve()
+                .unwrap();
+            let _ = done.send(report);
+        });
+        let report = report.recv_timeout(Duration::from_secs(20));
+        // the workers are released whatever the outcome, so a solve stuck
+        // on them still ends
+        drop(release);
+        let report = report.expect("the solve finished while the workers were blocked");
+        assert_eq!(report.features.components, 1);
         let sequential = SolveRequest::new(&inst)
             .solver("first-fit")
             .parallel(ParallelPolicy::Off)

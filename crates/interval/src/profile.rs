@@ -73,16 +73,14 @@ impl OverlapProfile {
     /// Bulk construction: the profile of a whole family in one event sort
     /// plus one linear pass that fills half-full chunks, instead of `n`
     /// incremental [`OverlapProfile::add`] calls. Produces exactly the steps
-    /// the incremental route would hold — compacted, final entry zero — and
-    /// the event sort goes through [`crate::parsort`], so on large families
-    /// it runs on the installed parallel sorter.
+    /// the incremental route would hold — compacted, final entry zero.
     pub fn from_intervals(intervals: &[Interval]) -> OverlapProfile {
         let mut events: Vec<(i64, i64)> = Vec::with_capacity(intervals.len() * 2);
         for iv in intervals {
             events.push((iv.dkey_lo(), 1));
             events.push((iv.dkey_hi(), -1));
         }
-        crate::parsort::sort_pairs(&mut events);
+        events.sort_unstable();
         let mut profile = OverlapProfile {
             len: intervals.len(),
             ..OverlapProfile::default()

@@ -23,10 +23,10 @@
 //! cached near match carry `"warm_started": true`.
 //!
 //! `parallel` is the record's intra-instance parallelism policy
-//! (`"auto"` / `"on"` / `"off"`): whether the solve may fork its own
-//! kernels across the executor's idle workers. The fork–join layer is
-//! deterministic, so the policy trades wall-clock time only — reports are
-//! byte-identical either way.
+//! (`"auto"` / `"on"` / `"off"`): whether the solve may fork its
+//! component solves and FirstFit's stages across the executor's idle
+//! workers. Both forks are deterministic, so the policy trades wall-clock
+//! time only — reports are byte-identical either way.
 //!
 //! `deadline_ms` is the record's hard solve deadline, counted from the
 //! moment a pool worker picks the record up: the solver is cut at its next

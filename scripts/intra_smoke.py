@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Driver for the CI `intra-smoke` job: intra-instance fork–join.
+"""Driver for the CI `intra-smoke` job: intra-instance forks.
 
 Three checks. The first two use the committed many-component fixture
 (`tests/fixtures/intra_many_components.json`, 12 balanced
-fully-overlapping clusters — the shape the fork–join component dispatch
-is built for):
+fully-overlapping clusters — the shape the component fork is built
+for):
 
 * `speedup` — `busytime-cli solve` runs on the main thread, so
   `--parallel on` with `BUSYTIME_WORKERS=2` forks the solve across both
   pool workers. Requires min-of-RUNS parallel wall time to be at least
-  SPEEDUP_MIN (default 1.5) times faster than `--parallel off`, and
+  SPEEDUP_MIN (1.5) times faster than `--parallel off`, and
   first verifies the two reports are byte-identical once the wall-clock
   fields (`phases`, `total_ms`) are dropped — the speedup must be
   invisible in the answer.
@@ -24,7 +24,7 @@ is built for):
   explicit policy can thus only move work between two busy workers,
   never add any: responses stay byte-identical modulo wall-clock fields,
   and the `on` pass must not exceed the plain pass by more than SLACK
-  (default 1.35, pure timing noise allowance).
+  (1.35, pure timing noise allowance).
 
 * `serving` — sends one 80k-job `uniform` generator record alone to
   `busytime-cli serve --workers 2`, once with the default policy and once
@@ -44,7 +44,6 @@ is built for):
   printed alongside.
 
 Usage: intra_smoke.py CLI FIXTURE speedup|saturated|serving
-Knobs via env: INTRA_RUNS, INTRA_SPEEDUP_MIN, INTRA_SLACK.
 Exits non-zero (with a message on stderr) on any violation.
 """
 import json
@@ -53,9 +52,9 @@ import subprocess
 import sys
 import time
 
-RUNS = int(os.environ.get("INTRA_RUNS", "3"))
-SPEEDUP_MIN = float(os.environ.get("INTRA_SPEEDUP_MIN", "1.5"))
-SLACK = float(os.environ.get("INTRA_SLACK", "1.35"))
+RUNS = 3
+SPEEDUP_MIN = 1.5
+SLACK = 1.35
 SERVING_MIN = 1.4
 SERVING_RECORD = {"generator": {"family": "uniform", "n": 80000, "g": 3, "seed": 11},
                   "solver": "first-fit"}
@@ -113,10 +112,10 @@ def check_speedup(cli, fixture):
     seq_s, par_s = min_wall(seq), min_wall(par)
     ratio = seq_s / par_s
     print(f"sequential {seq_s * 1e3:.1f} ms, "
-          f"2-worker fork-join {par_s * 1e3:.1f} ms -> {ratio:.2f}x "
+          f"2-worker fork {par_s * 1e3:.1f} ms -> {ratio:.2f}x "
           f"(min of {RUNS})")
     if ratio < SPEEDUP_MIN:
-        fail(f"fork-join speedup {ratio:.2f}x below the {SPEEDUP_MIN}x gate")
+        fail(f"fork speedup {ratio:.2f}x below the {SPEEDUP_MIN}x gate")
 
 
 def serve_pass(cli, payload, raw=None):
